@@ -87,21 +87,57 @@ let add_instr_n t name n =
       (n + Option.value ~default:0 (Hashtbl.find_opt t.instr_mix name))
   end
 
+(* Per-domain scratch for the batch counts below, which gather a batch
+   into a reused int buffer, sort it in place and deduplicate it rather
+   than allocate per warp batch. Buffers grow monotonically and are
+   private to their domain, so parallel block ranges never share one. *)
+let s_gather = Domain.DLS.new_key (fun () -> ref (Array.make 64 0))
+let s_banks = Domain.DLS.new_key (fun () -> Array.make 32 0)
+
+let gather_scratch n =
+  let r = Domain.DLS.get s_gather in
+  if Array.length !r < n then r := Array.make (max n (2 * Array.length !r)) 0;
+  !r
+
+(* Insertion sort of [a.(0 .. n-1)]: warp batches hold at most a few
+   dozen entries and usually arrive ascending (lanes ascending), where
+   this is linear. *)
+let sort_prefix (a : int array) n =
+  for i = 1 to n - 1 do
+    let x = Array.unsafe_get a i in
+    let j = ref (i - 1) in
+    while !j >= 0 && Array.unsafe_get a !j > x do
+      Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
+      decr j
+    done;
+    Array.unsafe_set a (!j + 1) x
+  done
+
 (* Distinct 32-byte sectors across a batch, modelling coalescing. The
    array form is the core — the plan executor batches addresses into a
    reused scratch buffer of which the first [len] entries are live; the
    list form (tree interpreter) is a wrapper, so the two paths share one
-   implementation and cannot drift. *)
+   implementation and cannot drift.
+
+   Each address touches the sector range [a/32, (a+bytes-1)/32]; both
+   ends are monotone in [a], so after sorting the addresses the ranges
+   are ordered by both ends and the union is one sweep: a range adds
+   the sectors beyond the highest one counted so far. *)
 let sectors_of_batcha ~bytes addresses ~len =
-  let sectors = Hashtbl.create 16 in
+  let a = gather_scratch len in
+  Array.blit addresses 0 a 0 len;
+  sort_prefix a len;
+  let count = ref 0 and top = ref min_int in
   for i = 0 to len - 1 do
-    let a = Array.unsafe_get addresses i in
-    let lo = a / 32 and hi = (a + bytes - 1) / 32 in
-    for s = lo to hi do
-      Hashtbl.replace sectors s ()
-    done
+    let x = Array.unsafe_get a i in
+    let lo = x / 32 and hi = (x + bytes - 1) / 32 in
+    if hi >= lo then begin
+      if lo > !top then count := !count + (hi - lo + 1)
+      else if hi > !top then count := !count + (hi - !top);
+      if hi > !top then top := hi
+    end
   done;
-  Hashtbl.length sectors
+  !count
 
 let sectors_of_batch ~bytes addresses =
   let a = Array.of_list addresses in
@@ -121,26 +157,38 @@ let record_global_batch t ~store ~bytes addresses =
 (* The hardware serves at most 128 bytes (32 banks x 4 bytes) per phase;
    wide per-thread accesses split into phases of 128/bytes threads. Bank
    conflicts are extra cycles within a phase: the maximum number of
-   distinct 4-byte words mapping to one bank. *)
+   distinct 4-byte words mapping to one bank. Each phase gathers its
+   words, sorts and deduplicates them, and counts the distinct words per
+   bank. *)
 let conflicts_of_batcha ~bytes addresses ~len =
   let per_phase = max 1 (128 / max 1 bytes) in
+  let banks = Domain.DLS.get s_banks in
   let acc = ref 0 and i = ref 0 in
   while !i < len do
     let stop = min len (!i + per_phase) in
-    let words_per_bank = Array.make 32 [] in
+    (* An access spans at most [bytes / 4 + 2] words. *)
+    let words = gather_scratch ((stop - !i) * ((max 0 bytes / 4) + 2)) in
+    let n = ref 0 in
     for j = !i to stop - 1 do
       let a = Array.unsafe_get addresses j in
-      let lo = a / 4 and hi = (a + bytes - 1) / 4 in
-      for w = lo to hi do
-        let bank = w mod 32 in
-        if not (List.mem w words_per_bank.(bank)) then
-          words_per_bank.(bank) <- w :: words_per_bank.(bank)
+      for w = a / 4 to (a + bytes - 1) / 4 do
+        Array.unsafe_set words !n w;
+        incr n
       done
     done;
-    let degree =
-      Array.fold_left (fun acc ws -> max acc (List.length ws)) 1 words_per_bank
-    in
-    acc := !acc + (degree - 1);
+    sort_prefix words !n;
+    Array.fill banks 0 32 0;
+    let degree = ref 1 in
+    for j = 0 to !n - 1 do
+      let w = Array.unsafe_get words j in
+      if j = 0 || w <> Array.unsafe_get words (j - 1) then begin
+        (* Bounds-checked: a negative word has a negative bank. *)
+        let c = banks.(w mod 32) + 1 in
+        banks.(w mod 32) <- c;
+        if c > !degree then degree := c
+      end
+    done;
+    acc := !acc + (!degree - 1);
     i := stop
   done;
   !acc

@@ -1124,12 +1124,44 @@ type bctx =
   ; bc_sem : Semantics.code array  (* by a_id: pre-resolved dispatch *)
   ; bc_taken : WM.t array  (* divergence mask arena, by branch depth *)
   ; bc_not_taken : WM.t array
+  ; bc_lanes : int array array
+        (* by v_id: the current warp batch's first offset per lane, kept
+           by [bc_record_batch] for Thread-tier global/shared views *)
+  ; bc_scalar_fma : bool array  (* by a_id: runs [bc_exec_scalar_fma] *)
   }
+
+(* A view the lane-address pass covers: [bc_record_batch] evaluates its
+   first offset for every active lane, so execution can reuse it. *)
+let lane_recorded (pv : P.view) =
+  pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread
+  && not (Ms.equal pv.P.v_mem Ms.Register)
+
+(* The scalar FMA path applies to a per-thread [C_fma] whose three views
+   each hold exactly one element per thread — the naive GEMM's
+   [c += a * b]. Decided from the plan alone. *)
+let is_scalar_fma (a : P.atomic) sem =
+  let one (pv : P.view) =
+    match Ts.num_scalars_int pv.P.v_ts with
+    | n -> n = 1
+    | exception _ -> false
+  in
+  a.P.a_per_thread
+  && (match sem with Semantics.C_fma -> true | _ -> false)
+  &&
+  match (a.P.a_ins, a.P.a_outs) with
+  | [ x; y ], [ z ] -> one x && one y && one z
+  | _ -> false
 
 let make_bctx ctx (plan : P.t) env =
   let bp = make_pctx ctx plan env in
   let bc = Lower.Bytecode.get plan in
   let nwords = WM.nwords ~cta_size:plan.P.cta_size in
+  let sem =
+    Array.map
+      (fun (a : P.atomic) ->
+        Semantics.classify ~instr:a.P.a_instr ~spec:a.P.a_spec)
+      bc.P.bc_atomics
+  in
   { bp
   ; bc_code = bc.P.bc_code
   ; bc_atomics = bc.P.bc_atomics
@@ -1137,13 +1169,11 @@ let make_bctx ctx (plan : P.t) env =
   ; bc_conds = bc.P.bc_conds
   ; bc_labels = bc.P.bc_labels
   ; bc_fails = bc.P.bc_fails
-  ; bc_sem =
-      Array.map
-        (fun (a : P.atomic) ->
-          Semantics.classify ~instr:a.P.a_instr ~spec:a.P.a_spec)
-        bc.P.bc_atomics
+  ; bc_sem = sem
   ; bc_taken = Array.init bc.P.bc_max_depth (fun _ -> Array.make nwords 0)
   ; bc_not_taken = Array.init bc.P.bc_max_depth (fun _ -> Array.make nwords 0)
+  ; bc_lanes = Array.init plan.P.n_views (fun _ -> Array.make 32 no_addr)
+  ; bc_scalar_fma = Array.map2 is_scalar_fma bc.P.bc_atomics sem
   }
 
 (* Allocation-free twins of the closure walker's helpers: direct matches
@@ -1152,18 +1182,25 @@ let make_bctx ctx (plan : P.t) env =
    must stay in sync with the originals above — the bit-identity suite
    compares the two engines event for event. *)
 
-let bc_record_batch px w wmask ~store (pv : P.view) =
+(* The lane-address pass: a Thread-tier view's first offset is
+   evaluated once per active lane and kept in the view's lane array
+   ([bc_lanes]), so the scalar FMA path reads it back instead of
+   evaluating the address closure (or the offsets oracle) again. *)
+let bc_record_batch bx w wmask ~store (pv : P.view) =
   match pv.P.v_mem with
   | Ms.Register -> ()
   | Ms.Global | Ms.Shared ->
+    let px = bx.bp in
     let env = px.env and addrs = px.addrs in
     let n = ref 0 in
     if pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread then begin
       let base = w * 32 in
+      let lanes = Array.unsafe_get bx.bc_lanes pv.P.v_id in
       for l = 0 to 31 do
         if wmask land (1 lsl l) <> 0 then begin
           env.(Slots.tid_slot) <- base + l;
           let a = pv.P.v_addr0 env in
+          Array.unsafe_set lanes l a;
           if a <> no_addr then begin
             Array.unsafe_set addrs !n (a * pv.P.v_elt_bytes);
             incr n
@@ -1207,11 +1244,11 @@ let bc_record_batch px w wmask ~store (pv : P.view) =
       end
     end
 
-let rec bc_record_batches px w wmask ~store = function
+let rec bc_record_batches bx w wmask ~store = function
   | [] -> ()
   | pv :: tl ->
-    bc_record_batch px w wmask ~store pv;
-    bc_record_batches px w wmask ~store tl
+    bc_record_batch bx w wmask ~store pv;
+    bc_record_batches bx w wmask ~store tl
 
 let bc_account_cost ctx (a : P.atomic) ~instances =
   let c = a.P.a_cost in
@@ -1235,6 +1272,84 @@ let bc_account_cost ctx (a : P.atomic) ~instances =
       ~flops:c.Atomic.flops ~instructions:c.Atomic.instructions ~instances
   | None -> ()
 
+(* One lane's first offset of [pv]: from the lane-address pass when it
+   covers the view, else evaluated for this lane (the tid slot is set). *)
+let bc_lane_addr0 bx (pv : P.view) l =
+  if lane_recorded pv then
+    Array.unsafe_get (Array.unsafe_get bx.bc_lanes pv.P.v_id) l
+  else pv.P.v_addr0 bx.bp.env
+
+(* One lane through the generic semantics (tracing off). *)
+let bc_exec_lane px (a : P.atomic) sem tid =
+  let ctx = px.c in
+  px.members1.(0) <- tid;
+  Semantics.exec_coded ~block:ctx.block ~offs:px.a_offs.(a.P.a_id) ctx.mem sem
+    ~instr:a.P.a_instr ~spec:a.P.a_spec ~env:px.a_envf.(a.P.a_id)
+    ~members:px.members1
+
+(* The scalar FMA path: [c <- round (a * b + c)] per active lane, on
+   unboxed floats read straight from the buffers. Global and shared
+   buffers are resolved once per warp batch (on the first lane, at the
+   point the generic path first resolves them), register files per
+   lane. Per lane the order of offset evaluation, resolution, bounds
+   checks and the store is exactly [Semantics.exec_thread_fma]'s, so
+   faults and their messages match; a lane with an empty enumeration
+   (no first offset) runs the generic semantics instead. *)
+let bc_exec_scalar_fma bx (a : P.atomic) sem w m =
+  let px = bx.bp in
+  let ctx = px.c in
+  let mem = ctx.mem and env = px.env in
+  match (a.P.a_ins, a.P.a_outs) with
+  | [ va; vb ], [ vc ] ->
+    let ta = va.P.v_ts and tb = vb.P.v_ts and tc = vc.P.v_ts in
+    let reg_a = Ms.equal va.P.v_mem Ms.Register
+    and reg_b = Ms.equal vb.P.v_mem Ms.Register
+    and reg_c = Ms.equal vc.P.v_mem Ms.Register in
+    let dt = Ts.dtype tc in
+    let ba = ref [||] and bb = ref [||] and bc = ref [||] in
+    let ra = ref false and rb = ref false and rc = ref false in
+    let base = w * 32 in
+    for l = 0 to 31 do
+      if m land (1 lsl l) <> 0 then begin
+        let tid = base + l in
+        env.(Slots.tid_slot) <- tid;
+        let oa = bc_lane_addr0 bx va l in
+        if oa = no_addr then bc_exec_lane px a sem tid
+        else begin
+          if reg_a || not !ra then begin
+            ba := Memory.buffer mem ~tid ta;
+            ra := true
+          end;
+          Memory.checked !ba ta oa;
+          let ob = bc_lane_addr0 bx vb l in
+          if ob = no_addr then bc_exec_lane px a sem tid
+          else begin
+            if reg_b || not !rb then begin
+              bb := Memory.buffer mem ~tid tb;
+              rb := true
+            end;
+            Memory.checked !bb tb ob;
+            let oc = bc_lane_addr0 bx vc l in
+            if oc = no_addr then bc_exec_lane px a sem tid
+            else begin
+              if reg_c || not !rc then begin
+                bc := Memory.buffer mem ~tid tc;
+                rc := true
+              end;
+              let cbuf = !bc in
+              Memory.checked cbuf tc oc;
+              let x =
+                (Array.unsafe_get !ba oa *. Array.unsafe_get !bb ob)
+                +. Array.unsafe_get cbuf oc
+              in
+              Array.unsafe_set cbuf oc (Dt.round dt x)
+            end
+          end
+        end
+      end
+    done
+  | _ -> invalid_arg "fma arity"
+
 let bc_exec_per_thread bx (a : P.atomic) sem (mask : WM.t) =
   let px = bx.bp in
   let ctx = px.c in
@@ -1243,13 +1358,15 @@ let bc_exec_per_thread bx (a : P.atomic) sem (mask : WM.t) =
   let offs = px.a_offs.(a.P.a_id) in
   let trace = sem_trace ctx in
   let fastcopy = a.P.a_fastcopy && trace = None in
+  let scalar_fma = Array.unsafe_get bx.bc_scalar_fma a.P.a_id && trace = None in
   let total = ref 0 in
   for w = 0 to Array.length mask - 1 do
     let m = Array.unsafe_get mask w in
     if m <> 0 then begin
-      bc_record_batches px w m ~store:false a.P.a_ins;
-      bc_record_batches px w m ~store:true a.P.a_outs;
+      bc_record_batches bx w m ~store:false a.P.a_ins;
+      bc_record_batches bx w m ~store:true a.P.a_outs;
       if fastcopy then exec_plan_fastcopy px a w m
+      else if scalar_fma then bc_exec_scalar_fma bx a sem w m
       else begin
         let base = w * 32 in
         for l = 0 to 31 do

@@ -168,11 +168,14 @@ let checked buf (v : Ts.t) off =
 
 let read_offs t ~tid v offs =
   let buf = buffer t ~tid v in
-  Array.map
-    (fun off ->
-      checked buf v off;
-      buf.(off))
-    offs
+  let n = Array.length offs in
+  let out = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    let off = Array.unsafe_get offs i in
+    checked buf v off;
+    Array.unsafe_set out i (Array.unsafe_get buf off)
+  done;
+  out
 
 let read_offs_into t ~tid v offs dst =
   let buf = buffer t ~tid v in
@@ -199,11 +202,11 @@ let write_offs_n t ~tid v offs data ~len =
     fault "view %%%s: writing %d values into %d slots" v.Ts.name len
       (Array.length offs);
   let dt = Ts.dtype v in
-  Array.iteri
-    (fun i off ->
-      checked buf v off;
-      buf.(off) <- Dt.round dt data.(i))
-    offs
+  for i = 0 to len - 1 do
+    let off = Array.unsafe_get offs i in
+    checked buf v off;
+    Array.unsafe_set buf off (Dt.round dt data.(i))
+  done
 
 let write_offs t ~tid v offs data =
   write_offs_n t ~tid v offs data ~len:(Array.length data)

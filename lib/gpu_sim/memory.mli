@@ -151,6 +151,21 @@ val read_k_offs :
 val write_k_offs :
   t -> tid:int -> Gpu_tensor.Tensor.t -> int array -> int -> float -> unit
 
+(** {2 Scalar access}
+
+    For executors that read and write one element per thread straight
+    from a resolved buffer, keeping floats unboxed. *)
+
+(** [buffer t ~tid v] — the array backing [v] (for a register view, the
+    register file of [tid]), allocating a declared shared or register
+    buffer on first use. Faults exactly like the accessors above on an
+    unknown or undeclared buffer. *)
+val buffer : t -> tid:int -> Gpu_tensor.Tensor.t -> float array
+
+(** [checked buf v off] — fault exactly like the accessors above when
+    [off] lies outside [buf]; a no-op otherwise. *)
+val checked : float array -> Gpu_tensor.Tensor.t -> int -> unit
+
 (** A resolved buffer handle: the view's backing array and element type,
     looked up once. Hoists buffer resolution out of per-element loops
     (e.g. the ldmatrix fragment distribute, which writes two scalars per

@@ -145,13 +145,31 @@ let kernel ?(name = "fmha") ?(swizzle_smem = true) ?(causal = false) arch
   let mx, al_mx = B.alloc_regs "mx" (L.vector 1) Dt.FP32 in
   let sum, al_sm = B.alloc_regs "sum" (L.vector 1) Dt.FP32 in
   let tmp, al_tp = B.alloc_regs "tmp" (L.vector 1) Dt.FP32 in
-  let rf_win8 buf i =
-    Ts.reinterpret buf ~layout:(L.vector 8) ~elem:(Ts.Scalar (Ts.dtype buf))
-      ~offset:(E.mul i (E.const 8))
+  let rf_win w buf off =
+    Ts.reinterpret buf ~layout:(L.vector w) ~elem:(Ts.Scalar (Ts.dtype buf))
+      ~offset:off
   in
-  let ss_seg_win8 =
-    let t = Ts.tile ss_seg [ None; L.tile_spec 8 ] in
+  let rf_win8 buf i = rf_win 8 buf (E.mul i (E.const 8)) in
+  let ss_seg_win w =
+    let t = Ts.tile ss_seg [ None; L.tile_spec w ] in
     fun i -> Ts.select t [ E.zero; i ]
+  in
+  let ss_seg_win8 = ss_seg_win 8 in
+  (* P is stored in 8-wide windows; a segment of [cpt] probabilities
+     with [cpt mod 8 <> 0] ends in one narrower tail window. The kernel's
+     shape constraints make [cpt] a multiple of 4, so the tail starts on
+     a multiple of its own width. *)
+  let full8 = cpt / 8 and tail = cpt mod 8 in
+  let store_tail =
+    if tail = 0 then []
+    else
+      [ B.move ~label:"cvt+pack" ~threads:thr
+          ~src:(rf_win tail e_rf (E.const (full8 * 8)))
+          ~dst:(rf_win tail p16 E.zero) ()
+      ; B.move ~label:"store P (SH)" ~threads:thr ~src:(rf_win tail p16 E.zero)
+          ~dst:(ss_seg_win tail (E.const (full8 * 8 / tail)))
+          ()
+      ]
   in
   (* Causal masking (autoregressive attention): scores with key index
      greater than the query index are forced to -inf before the softmax. *)
@@ -188,14 +206,15 @@ let kernel ?(name = "fmha") ?(swizzle_smem = true) ?(causal = false) arch
     @ Block_reduce.warp_reduce ~warp ~op:Op.Add ~value:sum ~tmp ~width:tpr
     @ [ B.unary ~label:"1/sum" ~threads:thr Op.Recip ~src:sum ~dst:sum ()
       ; B.binary ~threads:thr Op.Mul ~lhs:e_rf ~rhs:sum ~dst:e_rf ()
-      ; B.for_ ~unroll:true "v" (E.const (cpt / 8)) (fun i ->
+      ; B.for_ ~unroll:true "v" (E.const full8) (fun i ->
             [ B.move ~label:"cvt+pack" ~threads:thr ~src:(rf_win8 e_rf i)
                 ~dst:p16 ()
             ; B.move ~label:"store P (SH)" ~threads:thr ~src:p16
                 ~dst:(ss_seg_win8 i) ()
             ])
-      ; B.sync
       ]
+    @ store_tail
+    @ [ B.sync ]
   in
   (* ----- phase 3: O = P V, accumulated over V chunks ----- *)
   let o_groups = B.vec_tile o out_w in

@@ -57,6 +57,26 @@ let check_counters_equal name (a : C.t) (b : C.t) =
   Alcotest.(check (list (pair string int)))
     (name ^ ": instr mix") (C.instr_mix_alist a) (C.instr_mix_alist b)
 
+(* Every field, the request and cp.async counters included. The
+   engines book requests at each view's executed vector width, so the
+   tree oracle agrees on them only for plans that widen nothing. *)
+let check_all_counters_equal name (a : C.t) (b : C.t) =
+  check_counters_equal name a b;
+  let field label get = check_int (name ^ ": " ^ label) (get a) (get b) in
+  field "global_requests" (fun c -> c.C.global_requests);
+  field "global_vec_requests" (fun c -> c.C.global_vec_requests);
+  field "global_vec_bytes" (fun c -> c.C.global_vec_bytes);
+  field "global_vec_elems" (fun c -> c.C.global_vec_elems);
+  field "shared_requests" (fun c -> c.C.shared_requests);
+  field "shared_vec_requests" (fun c -> c.C.shared_vec_requests);
+  field "shared_vec_bytes" (fun c -> c.C.shared_vec_bytes);
+  field "shared_vec_elems" (fun c -> c.C.shared_vec_elems);
+  field "async_copies" (fun c -> c.C.async_copies);
+  field "async_commits" (fun c -> c.C.async_commits);
+  field "async_waits" (fun c -> c.C.async_waits);
+  field "async_inflight_sum" (fun c -> c.C.async_inflight_sum);
+  field "async_max_inflight" (fun c -> c.C.async_max_inflight)
+
 (* ----- cross-engine determinism ----- *)
 
 let engines = [ Interp.Tree; Interp.Closure; Interp.Bytecode ]
@@ -65,7 +85,8 @@ let domain_counts = [ 1; 4; 7 ]
 (* Run the kernel through every engine at every domain count; demand
    bit-identical counters, profiler report JSON, Chrome traces, and
    output buffers against the 1-domain tree reference. *)
-let check_engines ?(scalars = []) ?args name arch kernel =
+let check_engines ?(scalars = []) ?args ?(check_counters = check_counters_equal)
+    name arch kernel =
   let base_args =
     match args with
     | Some a -> a
@@ -98,7 +119,7 @@ let check_engines ?(scalars = []) ?args name arch kernel =
               domains
           in
           let argsn, cn, rn, tn = run_one ~engine ~domains in
-          check_counters_equal tag c1 cn;
+          check_counters tag c1 cn;
           check_str (tag ^ ": profiler report JSON") r1 rn;
           check_str (tag ^ ": chrome trace") t1 tn;
           List.iter2
@@ -140,6 +161,96 @@ let test_eng_gemm_parametric () =
   in
   check_engines "gemm-parametric" Arch.SM86 kernel ~args
     ~scalars:[ ("M", m); ("N", n); ("K", k) ]
+
+(* ----- the scalar FMA path -----
+
+   The naive GEMM's per-thread [c += a * b] runs on the bytecode
+   engine's scalar FMA path. Ragged M/N/K under a larger launch grid
+   gives partial tiles and masked lanes. *)
+
+let ragged_m = 37
+let ragged_n = 27
+let ragged_k = 13
+
+let ragged_kernel () =
+  Kernels.Gemm.naive_parametric ~launch_m:48 ~launch_n:32 ~bm:16 ~bn:16 ~tm:4
+    ~tn:4 ()
+
+let ragged_scalars = [ ("M", ragged_m); ("N", ragged_n); ("K", ragged_k) ]
+
+let ragged_args ?(short = "") () =
+  let m = ragged_m and n = ragged_n and k = ragged_k in
+  let len name n = if String.equal name short then n - 3 else n in
+  [ ("A", Ref.random_fp16 ~seed:21 (len "A" (m * k)))
+  ; ("B", Ref.random_fp16 ~seed:22 (len "B" (k * n)))
+  ; ("C", Ref.random_fp16 ~seed:23 (len "C" (m * n)))
+  ]
+
+let test_scalar_fma_ragged () =
+  check_engines "gemm-parametric ragged" Arch.SM86 (ragged_kernel ())
+    ~args:(ragged_args ()) ~scalars:ragged_scalars
+    ~check_counters:check_all_counters_equal
+
+(* A buffer three elements short faults on its last rows: the scalar
+   path must raise the generic path's [Memory.Fault], message and all.
+   The generic path is the same engine with instruction tracing on
+   (which keeps every lane on [Semantics]), and the tree oracle. *)
+let test_scalar_fma_fault () =
+  let kernel = ragged_kernel () in
+  let plan = Pipeline.lower Arch.SM86 kernel in
+  let fault run =
+    match run () with
+    | _ -> "no fault"
+    | exception Gpu_sim.Memory.Fault msg -> msg
+  in
+  List.iter
+    (fun short ->
+      let scalar () =
+        Interp.run_plan ~domains:1 ~engine:Interp.Bytecode plan
+          ~args:(ragged_args ~short ()) ~scalars:ragged_scalars ()
+      in
+      let traced () =
+        let profiler =
+          Profiler.create ~trace:(Trace.create ()) ~detail:true ()
+        in
+        Interp.run_plan ~profiler ~domains:1 ~engine:Interp.Bytecode plan
+          ~args:(ragged_args ~short ()) ~scalars:ragged_scalars ()
+      in
+      let tree () =
+        Interp.run_tree ~arch:Arch.SM86 ~domains:1 kernel
+          ~args:(ragged_args ~short ()) ~scalars:ragged_scalars ()
+      in
+      let want = fault tree in
+      check_bool (short ^ " short: the oracle faults") true
+        (not (String.equal want "no fault"));
+      check_str (short ^ " short: generic path") want (fault traced);
+      check_str (short ^ " short: scalar path") want (fault scalar))
+    [ "A"; "B"; "C" ]
+
+(* The scalar path allocates nothing per lane: the whole run stays under
+   16 minor words per multiply-add cell at one domain (the generic
+   per-lane semantics allocate about 120). *)
+let test_scalar_fma_allocation () =
+  let m = 64 and n = 64 and k = 64 in
+  let kernel =
+    Kernels.Gemm.naive_parametric ~launch_m:m ~launch_n:n ~bm:16 ~bn:16 ~tm:4
+      ~tn:4 ()
+  in
+  let plan = Pipeline.lower Arch.SM86 kernel in
+  let args =
+    [ ("A", Ref.random_fp16 ~seed:31 (m * k))
+    ; ("B", Ref.random_fp16 ~seed:32 (k * n))
+    ; ("C", Array.make (m * n) 0.0)
+    ]
+  in
+  let scalars = [ ("M", m); ("N", n); ("K", k) ] in
+  let w0 = Gc.minor_words () in
+  ignore
+    (Interp.run_plan ~domains:1 ~engine:Interp.Bytecode plan ~args ~scalars ());
+  let per_cell = (Gc.minor_words () -. w0) /. float_of_int (m * n * k) in
+  check_bool
+    (Printf.sprintf "%.1f minor words per cell <= 16" per_cell)
+    true (per_cell <= 16.0)
 
 let test_eng_fmha () =
   check_engines "fmha sm86" Arch.SM86
@@ -446,6 +557,14 @@ let () =
         ; Alcotest.test_case "fmha" `Quick test_eng_fmha
         ; Alcotest.test_case "reductions" `Quick test_eng_reductions
         ; Alcotest.test_case "fused" `Quick test_eng_fused
+        ] )
+    ; ( "scalar fma"
+      , [ Alcotest.test_case "ragged gemm bit-identical" `Quick
+            test_scalar_fma_ragged
+        ; Alcotest.test_case "out-of-bounds fault message" `Quick
+            test_scalar_fma_fault
+        ; Alcotest.test_case "allocation per cell" `Quick
+            test_scalar_fma_allocation
         ] )
     ; ( "divergence"
       , [ Alcotest.test_case "fixed-seed corpus via bytecode" `Quick

@@ -14,6 +14,7 @@ module Metrics = Serve.Metrics
 module Interp = Gpu_sim.Interp
 module C = Gpu_sim.Counters
 module T = Workloads.Transformer
+module Ref = Reference.Cpu_ref
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -232,6 +233,48 @@ let test_engine_bit_identity () =
            args c.Engine.buffers))
     result.Engine.completed
 
+(* Every served output against the CPU reference, within the repo's fp16
+   tolerances (the GEMM default; the looser FMHA one for two chained
+   fp16 GEMMs around a softmax). Bit identity with a solo run cannot
+   catch a kernel that is wrong in both; this can. The trace must cover
+   an sm86 attention shape whose softmax segment is not a multiple of 8
+   wide (seq 48: 12 probabilities per thread). *)
+let test_engine_matches_reference () =
+  let reqs = Traffic.generate (small_traffic ~requests:40 ()) in
+  let seq48 (r : Req.t) =
+    match (r.Req.spec.Req.arch, r.Req.spec.Req.kind) with
+    | Arch.SM86, Req.Attention { seq = 48; _ } -> true
+    | _ -> false
+  in
+  check_bool "trace has an sm86 seq-48 attention request" true
+    (List.exists seq48 reqs);
+  let result = Engine.run ~config:(engine_config ()) reqs in
+  check_int "every request completes" (List.length reqs)
+    (List.length result.Engine.completed);
+  List.iter
+    (fun (c : Engine.completed) ->
+      let r = c.Engine.request in
+      let buf name = List.assoc name c.Engine.buffers in
+      let label = Format.asprintf "%a" Req.pp r in
+      match r.Req.spec.Req.kind with
+      | Req.Ffn { m; n; k } ->
+        let want = Array.make (m * n) 0.0 in
+        Ref.gemm_fp16_inputs ~m ~n ~k (buf "A") (buf "B") want;
+        check_bool (label ^ " matches reference") true
+          (Ref.allclose (buf "C") want)
+      | Req.Attention { heads; seq; dh; _ } ->
+        let slice name h = Array.sub (buf name) (h * seq * dh) (seq * dh) in
+        for h = 0 to heads - 1 do
+          let want = Array.make (seq * dh) 0.0 in
+          Ref.attention ~seq ~dh (slice "Q" h) (slice "K" h) (slice "V" h)
+            want;
+          check_bool
+            (Printf.sprintf "%s head %d matches reference" label h)
+            true
+            (Ref.allclose ~rtol:4e-2 ~atol:2e-2 (slice "O" h) want)
+        done)
+    result.Engine.completed
+
 let test_engine_fifo_within_bucket () =
   let reqs = Traffic.generate (small_traffic ~requests:32 ()) in
   let result =
@@ -352,6 +395,8 @@ let () =
     ; ( "engine"
       , [ Alcotest.test_case "batched runs bit-identical to solo runs"
             `Quick test_engine_bit_identity
+        ; Alcotest.test_case "outputs match the CPU reference" `Quick
+            test_engine_matches_reference
         ; Alcotest.test_case "FIFO within bucket" `Quick
             test_engine_fifo_within_bucket
         ; Alcotest.test_case "plan-cache hit accounting" `Quick

@@ -139,6 +139,93 @@ let test_shared_broadcast_edges () =
   check_int "no load bytes" 0 c.Counters.shared_load_bytes;
   check_int "store conflicts" 31 c.Counters.shared_bank_conflicts
 
+(* ----- batch counts against the original algorithm -----
+
+   [sectors_of_batcha] / [conflicts_of_batcha] count in per-domain
+   scratch (gather, sort, dedup). The reference below is the original
+   hash-set / per-bank-list formulation they replaced; on any batch the
+   two must agree exactly. *)
+
+let ref_sectors ~bytes addresses ~len =
+  let sectors = Hashtbl.create 16 in
+  for i = 0 to len - 1 do
+    let a = addresses.(i) in
+    for s = a / 32 to (a + bytes - 1) / 32 do
+      Hashtbl.replace sectors s ()
+    done
+  done;
+  Hashtbl.length sectors
+
+let ref_conflicts ~bytes addresses ~len =
+  let per_phase = max 1 (128 / max 1 bytes) in
+  let acc = ref 0 and i = ref 0 in
+  while !i < len do
+    let stop = min len (!i + per_phase) in
+    let words_per_bank = Array.make 32 [] in
+    for j = !i to stop - 1 do
+      let a = addresses.(j) in
+      for w = a / 4 to (a + bytes - 1) / 4 do
+        let bank = w mod 32 in
+        if not (List.mem w words_per_bank.(bank)) then
+          words_per_bank.(bank) <- w :: words_per_bank.(bank)
+      done
+    done;
+    let degree =
+      Array.fold_left (fun acc ws -> max acc (List.length ws)) 1 words_per_bank
+    in
+    acc := !acc + (degree - 1);
+    i := stop
+  done;
+  !acc
+
+(* Unsorted batches of 0-32 addresses mixing scattered addresses,
+   duplicates from a small pool, and accesses that straddle a 32-byte
+   sector boundary. *)
+let gen_batch =
+  let open QCheck.Gen in
+  let* bytes = oneofl [ 1; 2; 4; 8; 16; 32; 128; 256 ] in
+  let* len = int_range 0 32 in
+  let* pool = list_repeat 4 (int_range 0 4096) in
+  let straddle =
+    map2 (fun k r -> (32 * k) - r) (int_range 8 136) (int_range 1 bytes)
+  in
+  let addr =
+    frequency [ (3, int_range 0 4096); (2, oneofl pool); (2, straddle) ]
+  in
+  let* addrs = list_repeat len addr in
+  return (bytes, addrs)
+
+let print_batch (bytes, addrs) =
+  Printf.sprintf "bytes=%d [%s]" bytes
+    (String.concat "; " (List.map string_of_int addrs))
+
+(* Counts agree with the reference; the live prefix sits in a longer
+   buffer whose tail must be ignored. *)
+let batch_counts_agree (bytes, addrs) =
+  let len = List.length addrs in
+  let a = Array.append (Array.of_list addrs) [| 7; 4099; 12_345 |] in
+  Counters.sectors_of_batcha ~bytes a ~len = ref_sectors ~bytes a ~len
+  && Counters.conflicts_of_batcha ~bytes a ~len = ref_conflicts ~bytes a ~len
+  && Counters.sectors_of_batch ~bytes addrs = ref_sectors ~bytes a ~len
+  && Counters.conflicts_of_batch ~bytes addrs = ref_conflicts ~bytes a ~len
+
+let prop_batch_counts =
+  QCheck.Test.make ~count:2000
+    ~name:"sector and conflict counts match the original algorithm"
+    (QCheck.make gen_batch ~print:print_batch)
+    batch_counts_agree
+
+(* The same property on two domains at once: each domain counts in its
+   own scratch, so concurrent batches must not disturb each other. *)
+let test_batch_counts_two_domains () =
+  let batches seed =
+    QCheck.Gen.generate ~rand:(Random.State.make [| seed |]) ~n:3000 gen_batch
+  in
+  let run seed () = List.for_all batch_counts_agree (batches seed) in
+  let d1 = Domain.spawn (run 1) and d2 = Domain.spawn (run 2) in
+  check_bool "domain 1 agrees" true (Domain.join d1);
+  check_bool "domain 2 agrees" true (Domain.join d2)
+
 let test_merge_reset_instr_mix () =
   let a = Counters.create () and b = Counters.create () in
   Counters.add_instr a "mma.m16n8k16";
@@ -536,7 +623,10 @@ let () =
             test_shared_broadcast_edges
         ; Alcotest.test_case "merge/reset instr mix" `Quick
             test_merge_reset_instr_mix
-        ] )
+        ; Alcotest.test_case "batch counts on two domains" `Quick
+            test_batch_counts_two_domains
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_batch_counts ] )
     ; ( "memory"
       , [ Alcotest.test_case "faults" `Quick test_memory_faults ] )
     ; ( "interpreter"
