@@ -18,9 +18,9 @@ profile-smoke:
 parallel-smoke:
 	dune build @parallel-smoke
 
-# Cross-engine determinism check: tree, closure and bytecode engines
-# must produce bit-identical reports, traces and buffers on a small
-# tensor-core GEMM (bytecode also at 2 domains), and the lower listing
+# Cross-engine determinism check: the tree and bytecode engines must
+# produce bit-identical reports, traces and buffers on a small
+# tensor-core GEMM (bytecode at 1 and 2 domains), and the lower listing
 # must include the flattened bytecode summary.
 bytecode-smoke:
 	dune build @bytecode-smoke
@@ -32,9 +32,9 @@ vector-smoke:
 
 # Software-pipelining smoke: lower the tensor-core GEMM at a 3-stage
 # request (the plan listing shows the rotating-buffer rewrite) and run
-# the pipelined plan across all three engines — counters, reports,
-# traces and outputs must be bit-identical to each other and the
-# outputs must match the CPU reference.
+# the pipelined plan across both engines — counters, reports, traces
+# and outputs must be bit-identical to each other and the outputs must
+# match the CPU reference.
 swpipe-smoke:
 	dune build @swpipe-smoke
 
@@ -56,7 +56,7 @@ serve-smoke:
 # Schedule-space search smoke: a seeded three-tier search over tiny GEMM
 # and FMHA problems run twice (deterministic trajectory, verified
 # winners, fixed-sweep baseline beaten — see docs/TUNING.md), plus the
-# CLI `tune --search` path end-to-end.
+# CLI `tune` path end-to-end (with `--profile 1`).
 search-smoke:
 	dune build @bin/search-smoke @bench/search-smoke
 

@@ -122,8 +122,9 @@ let emit_bench_profile rows =
 (* ----- lower-once / execute-many simulation benchmark -----
 
    Times the tree-walking reference interpreter against the compiled
-   execution plan on fixed kernel shapes, verifies the two paths produce
-   bit-identical event counters, and writes BENCH_sim.json. *)
+   execution plan on fixed kernel shapes, verifies every plan run
+   reproduces the tree's event counters and output buffers bitwise, and
+   writes BENCH_sim.json. *)
 
 module C = Gpu_sim.Counters
 
@@ -191,32 +192,24 @@ let sim_cases ?(quick = false) () =
         fmha Graphene.Arch.SM70 ~seq:32 ~dh:32 ~chunk:32 ~swizzle_smem:false)
     ]
 
-(* The parallel-grid measurement point: 4 domains is the acceptance
-   configuration (docs/PARALLELISM.md). On hosts with fewer cores the
-   domains timeslice, so par_s reflects what the machine can actually do
-   — the numbers are measured, never extrapolated. *)
-let par_domains = 4
-
-(* The v5 multi-domain sweep: the bytecode engine at each of these
-   domain counts, against the 1-domain bytecode best-of-2. *)
+(* The multi-domain sweep: the bytecode engine at each of these domain
+   counts, against the 1-domain bytecode best-of-2. On hosts with fewer
+   cores the domains timeslice, so the sweep reflects what the machine
+   can actually do — the numbers are measured, never extrapolated. *)
 let sweep_domains = [ 1; 2; 4; 8 ]
 
-(* Everything one bench row measures. [plan_s] is the closure-walking
-   plan executor (the v4 number, now pinned to ~engine:Closure since the
-   default engine is Bytecode); [bytecode_s] is the flat bytecode
-   executor on the same plan. The sweep is the bytecode engine at each
-   of [sweep_domains]. *)
+(* Everything one bench row measures: the tree reference interpreter and
+   the bytecode engine on the same kernel (the plan lowered once), the
+   bytecode engine at each of [sweep_domains], and a 3-stage pipelined
+   lowering. *)
 type sim_row =
   { tree_s : float
   ; tree_mw : float
   ; lower_s : float
   ; cache_hit : bool
   ; lower_cached_s : float
-  ; plan_s : float
-  ; plan_mw : float
   ; bytecode_s : float
   ; bytecode_mw : float
-  ; par_s : float
   ; sweep : (int * float * bool) list  (** domains, wall s, bit-identical *)
   ; stages : int
         (** effective software-pipeline depth of a 3-stage lowering
@@ -228,12 +221,14 @@ type sim_row =
             occupancy — the latency-hiding term's predicted win *)
   ; identical : bool
   ; outputs_identical : bool
-  ; plan_counters : C.t
+  ; bc_counters : C.t
   }
 
 (* Returns the row's JSON and whether every bit-identity check held
    (rows that fail to build or run count as not identical, so the
-   `--quick` smoke exits nonzero on them too). *)
+   `--quick` smoke exits nonzero on them too). Every plan run — the
+   1-domain bytecode run, each sweep point and the pipelined run — is
+   held to the tree reference's counters and output buffers. *)
 let sim_bench_row case =
   match case () with
   | exception exn ->
@@ -257,12 +252,18 @@ let sim_bench_row case =
       (* Minor-heap allocation of each path, from the caller domain's
          allocation counter ([~domains:1] runs inline, so every word the
          executor allocates is counted here). *)
+      let tree_args = args () in
       let mw0 = Gc.minor_words () in
       let tree_counters, tree_s =
         time (fun () ->
-            Gpu_sim.Interp.run_tree ~arch ~domains:1 kernel ~args:(args ()) ())
+            Gpu_sim.Interp.run_tree ~arch ~domains:1 kernel ~args:tree_args ())
       in
       let tree_minor_words = Gc.minor_words () -. mw0 in
+      (* A plan run matches the reference when its compared counters and
+         every output buffer are bitwise the tree's. *)
+      let matches_tree c a =
+        counters_equal tree_counters c && buffers_equal tree_args a
+      in
       let plan, lower_s =
         time (fun () -> Lower.Pipeline.lower arch kernel)
       in
@@ -272,50 +273,22 @@ let sim_bench_row case =
       let (_, cache_hit), lower_cached_s =
         time (fun () -> Lower.Pipeline.lower_cached arch kernel)
       in
-      (* Execute the plan twice per engine on one domain (the
-         lower-once/execute-many shape); report each engine's best run.
-         [plan_s] keeps its v4 meaning — the closure-walking executor —
-         which must now be pinned explicitly because the default engine
-         is Bytecode. *)
-      let plan_args = args () in
-      let mw1 = Gc.minor_words () in
-      let plan_counters, plan_s1 =
-        time (fun () ->
-            Gpu_sim.Interp.run_plan ~domains:1 ~engine:Gpu_sim.Interp.Closure
-              plan ~args:plan_args ())
-      in
-      let plan_minor_words = Gc.minor_words () -. mw1 in
-      let _, plan_s2 =
-        time (fun () ->
-            Gpu_sim.Interp.run_plan ~domains:1 ~engine:Gpu_sim.Interp.Closure
-              plan ~args:(args ()) ())
-      in
-      let plan_s = Float.min plan_s1 plan_s2 in
+      (* Execute the plan twice on one domain (the lower-once /
+         execute-many shape); report the best run. *)
       let bc_args = args () in
-      let mw2 = Gc.minor_words () in
+      let mw1 = Gc.minor_words () in
       let bc_counters, bc_s1 =
         time (fun () ->
             Gpu_sim.Interp.run_plan ~domains:1 ~engine:Gpu_sim.Interp.Bytecode
               plan ~args:bc_args ())
       in
-      let bytecode_mw = Gc.minor_words () -. mw2 in
+      let bytecode_mw = Gc.minor_words () -. mw1 in
       let _, bc_s2 =
         time (fun () ->
             Gpu_sim.Interp.run_plan ~domains:1 ~engine:Gpu_sim.Interp.Bytecode
               plan ~args:(args ()) ())
       in
       let bytecode_s = Float.min bc_s1 bc_s2 in
-      (* The v4 parallel point: the closure engine across [par_domains]
-         domains, against fresh buffers, so outputs can be compared
-         bitwise to the 1-domain run. *)
-      let par_args = args () in
-      let par_counters, par_s =
-        time (fun () ->
-            Gpu_sim.Interp.run_plan ~domains:par_domains
-              ~engine:Gpu_sim.Interp.Closure plan ~args:par_args ())
-      in
-      (* The v5 sweep: the bytecode engine at each domain count, every
-         point bit-identity-checked against the 1-domain bytecode run. *)
       let sweep =
         List.map
           (fun d ->
@@ -325,17 +298,17 @@ let sim_bench_row case =
                   Gpu_sim.Interp.run_plan ~domains:d
                     ~engine:Gpu_sim.Interp.Bytecode plan ~args:a ())
             in
-            (d, s, counters_equal bc_counters c && buffers_equal bc_args a))
+            (d, s, matches_tree c a))
           sweep_domains
       in
-      (* The v6 swpipe measurement point: the same kernel lowered at a
+      (* The swpipe measurement point: the same kernel lowered at a
          3-stage request (the pass may refuse — [stages] reports the
          effective depth), run once on the bytecode engine against
          fresh buffers. The pre-existing counters and the outputs must
-         stay bit-identical to the unpipelined run; only the new
-         async-queue counters (excluded from [counters_equal]) may
-         move. The model's overlap speedup compares serialized
-         (1-stage) to pipelined time at the measured occupancy. *)
+         stay bit-identical to the reference; only the async-queue
+         counters (excluded from [counters_equal]) may move. The model's
+         overlap speedup compares serialized (1-stage) to pipelined time
+         at the measured occupancy. *)
       let pplan, _ = Lower.Pipeline.lower_cached arch kernel ~stages:3 in
       let stages = pplan.Lower.Plan.pipelining.Lower.Plan.pl_stages in
       let p_args = args () in
@@ -343,9 +316,6 @@ let sim_bench_row case =
         time (fun () ->
             Gpu_sim.Interp.run_plan ~domains:1 ~engine:Gpu_sim.Interp.Bytecode
               pplan ~args:p_args ())
-      in
-      let pipelined_identical =
-        counters_equal bc_counters p_counters && buffers_equal bc_args p_args
       in
       let async_occ = C.async_occupancy p_counters ~stages in
       let overlap_speedup =
@@ -358,32 +328,27 @@ let sim_bench_row case =
         /. t { Gpu_sim.Perf_model.stages; occupancy = async_occ }
       in
       let identical =
-        counters_equal tree_counters plan_counters
-        && counters_equal plan_counters par_counters
-        && counters_equal plan_counters bc_counters
+        counters_equal tree_counters bc_counters
         && List.for_all (fun (_, _, ok) -> ok) sweep
-        && pipelined_identical
+        && counters_equal tree_counters p_counters
       in
       let outputs_identical =
-        buffers_equal plan_args par_args && buffers_equal plan_args bc_args
+        buffers_equal tree_args bc_args && buffers_equal tree_args p_args
       in
       { tree_s
       ; tree_mw = tree_minor_words
       ; lower_s
       ; cache_hit
       ; lower_cached_s
-      ; plan_s
-      ; plan_mw = plan_minor_words
       ; bytecode_s
       ; bytecode_mw
-      ; par_s
       ; sweep
       ; stages
       ; async_occ
       ; overlap_speedup
       ; identical
       ; outputs_identical
-      ; plan_counters
+      ; bc_counters
       }
     with
     | exception exn ->
@@ -395,31 +360,30 @@ let sim_bench_row case =
     | r ->
       let cps s = if s > 0.0 then float_of_int cells /. s else Float.nan in
       let per_cell w = w /. float_of_int (max 1 cells) in
-      let plan_counters = r.plan_counters in
+      let bc_counters = r.bc_counters in
       let mw_reduction =
-        if r.plan_mw > 0.0 then r.tree_mw /. r.plan_mw else Float.nan
+        if r.bytecode_mw > 0.0 then r.tree_mw /. r.bytecode_mw else Float.nan
       in
       (* Fraction of the global byte traffic carried by vector-widened
          (v2/v4) requests — the vectorize pass's yield on this kernel. *)
       let global_bytes =
-        plan_counters.C.global_load_bytes + plan_counters.C.global_store_bytes
+        bc_counters.C.global_load_bytes + bc_counters.C.global_store_bytes
       in
       let vector_widened_frac =
         if global_bytes = 0 then 0.0
         else
-          float_of_int plan_counters.C.global_vec_bytes
+          float_of_int bc_counters.C.global_vec_bytes
           /. float_of_int global_bytes
       in
       let ok = r.identical && r.outputs_identical in
       Format.printf
-        "%-24s %-4s tree %7.3fs  lower %6.4fs (cached %6.4fs)  closure \
-         %7.3fs  bytecode %7.3fs (%4.2fx)  speedup %5.2fx  minor w/cell \
-         %5.1f -> %4.2f -> %4.2f  vec %3.0f%%  counters %s@."
+        "%-24s %-4s tree %7.3fs  lower %6.4fs (cached %6.4fs)  bytecode \
+         %7.3fs  speedup %5.2fx  minor w/cell %5.1f -> %4.2f  vec %3.0f%%  \
+         vs tree %s@."
         name (Graphene.Arch.name arch) r.tree_s r.lower_s r.lower_cached_s
-        r.plan_s r.bytecode_s
-        (r.plan_s /. r.bytecode_s)
+        r.bytecode_s
         (r.tree_s /. r.bytecode_s)
-        (per_cell r.tree_mw) (per_cell r.plan_mw) (per_cell r.bytecode_mw)
+        (per_cell r.tree_mw) (per_cell r.bytecode_mw)
         (100.0 *. vector_widened_frac)
         (if ok then "bit-identical" else "MISMATCH");
       Format.printf "%26sdomains sweep (bytecode):%s@." ""
@@ -446,19 +410,13 @@ let sim_bench_row case =
       ( Printf.sprintf
           "{\"name\":%s,\"arch\":%s,\"cells\":%d,\"tree_s\":%.6f,\
            \"lower_s\":%.6f,\"lower_cached_s\":%.6f,\"lower_cache_hit\":%b,\
-           \"plan_s\":%.6f,\"par_s\":%.6f,\"par_domains\":%d,\
-           \"domains_speedup\":%.3f,\"speedup\":%.3f,\
-           \"bytecode_s\":%.6f,\"bytecode_speedup\":%.3f,\
-           \"speedup_bytecode\":%.3f,\"exec_engine\":\"bytecode\",\
-           \"domains_sweep\":[%s],\
+           \"bytecode_s\":%.6f,\"speedup_bytecode\":%.3f,\
+           \"exec_engine\":\"bytecode\",\"domains_sweep\":[%s],\
            \"stages\":%d,\"async_copy_occupancy\":%.6g,\
            \"overlap_speedup_model\":%.6g,\
-           \"cells_per_sec_tree\":%.6g,\"cells_per_sec_plan\":%.6g,\
-           \"cells_per_sec_bytecode\":%.6g,\
-           \"minor_words_tree\":%.0f,\"minor_words_plan\":%.0f,\
-           \"minor_words_bytecode\":%.0f,\
+           \"cells_per_sec_tree\":%.6g,\"cells_per_sec_bytecode\":%.6g,\
+           \"minor_words_tree\":%.0f,\"minor_words_bytecode\":%.0f,\
            \"minor_words_per_cell_tree\":%.6g,\
-           \"minor_words_per_cell_plan\":%.6g,\
            \"minor_words_per_cell_bytecode\":%.6g,\
            \"minor_words_reduction\":%.6g,\
            \"global_transactions\":%d,\"global_requests\":%d,\
@@ -469,20 +427,16 @@ let sim_bench_row case =
            \"counters_bit_identical\":%b,\"outputs_bit_identical\":%b}"
           (Gpu_sim.Trace.json_string name)
           (Gpu_sim.Trace.json_string (Graphene.Arch.name arch))
-          cells r.tree_s r.lower_s r.lower_cached_s r.cache_hit r.plan_s
-          r.par_s par_domains (r.plan_s /. r.par_s) (r.tree_s /. r.plan_s)
-          r.bytecode_s
-          (r.plan_s /. r.bytecode_s)
+          cells r.tree_s r.lower_s r.lower_cached_s r.cache_hit r.bytecode_s
           (r.tree_s /. r.bytecode_s)
           sweep_json r.stages r.async_occ r.overlap_speedup
-          (cps r.tree_s) (cps r.plan_s) (cps r.bytecode_s) r.tree_mw
-          r.plan_mw r.bytecode_mw (per_cell r.tree_mw) (per_cell r.plan_mw)
-          (per_cell r.bytecode_mw) mw_reduction
-          plan_counters.C.global_transactions plan_counters.C.global_requests
-          plan_counters.C.global_vec_requests plan_counters.C.global_vec_bytes
-          plan_counters.C.shared_requests plan_counters.C.shared_vec_requests
-          plan_counters.C.shared_vec_bytes
-          plan_counters.C.shared_bank_conflicts vector_widened_frac r.identical
+          (cps r.tree_s) (cps r.bytecode_s) r.tree_mw r.bytecode_mw
+          (per_cell r.tree_mw) (per_cell r.bytecode_mw) mw_reduction
+          bc_counters.C.global_transactions bc_counters.C.global_requests
+          bc_counters.C.global_vec_requests bc_counters.C.global_vec_bytes
+          bc_counters.C.shared_requests bc_counters.C.shared_vec_requests
+          bc_counters.C.shared_vec_bytes
+          bc_counters.C.shared_bank_conflicts vector_widened_frac r.identical
           r.outputs_identical
       , ok ))
 
@@ -505,11 +459,9 @@ let emit_sim_bench ?(quick = false) () =
   else begin
     let stats = Lower.Pipeline.cache_stats () in
     let oc = open_out "BENCH_sim.json" in
-    output_string oc "{\"schema\":\"graphene.sim_bench.v6\",\n";
+    output_string oc "{\"schema\":\"graphene.sim_bench.v7\",\n";
     output_string oc
-      (Printf.sprintf
-         "\"par_domains\":%d,\"default_domains\":%d,\"exec_engine\":%s,\n"
-         par_domains
+      (Printf.sprintf "\"default_domains\":%d,\"exec_engine\":%s,\n"
          (Gpu_sim.Domain_pool.default_domains ())
          (Gpu_sim.Trace.json_string
             (Gpu_sim.Interp.engine_name (Gpu_sim.Interp.default_plan_engine ()))));
@@ -636,27 +588,30 @@ let emit_tune_bench ?(quick = false) () =
       (List.length outcomes)
   end
 
+(* [--engine E]: [Some (Some e)] for a value, [Some None] when the flag
+   ends the command line. *)
+let rec engine_flag = function
+  | [] -> None
+  | [ "--engine" ] -> Some None
+  | "--engine" :: e :: _ -> Some (Some e)
+  | _ :: tl -> engine_flag tl
+
 let () =
-  (* `--engine tree|closure|bytecode` sets the default executor for
-     every run that does not pin one (the serve engine's shards, the
-     profile reports). The sim rows pin their engines explicitly, so
-     their closure-vs-bytecode comparison is unaffected. *)
-  (match
-     Array.to_list Sys.argv
-     |> List.fold_left
-          (fun (prev_was_flag, found) a ->
-            if prev_was_flag then (false, Some a)
-            else (String.equal a "--engine", found))
-          (false, None)
-   with
-  | _, Some e ->
-    (match Gpu_sim.Interp.engine_of_string e with
-    | Some _ -> Unix.putenv "GRAPHENE_SIM_ENGINE" e
+  (* `--engine tree|bytecode` sets the default executor for every run
+     that does not pin one (the serve engine's shards, the profile
+     reports, the search's proxies). The sim rows pin their engines
+     explicitly. *)
+  (match engine_flag (Array.to_list Sys.argv) with
+  | None -> ()
+  | Some e -> (
+    match Option.bind e Gpu_sim.Interp.engine_of_string with
+    | Some _ -> Unix.putenv "GRAPHENE_SIM_ENGINE" (Option.get e)
     | None ->
-      Format.eprintf
-        "unknown --engine %S (expected tree, closure or bytecode)@." e;
-      exit 2)
-  | _, None -> ());
+      Format.eprintf "%s (expected tree or bytecode)@."
+        (match e with
+        | Some e -> Printf.sprintf "unknown --engine %S" e
+        | None -> "--engine needs a value");
+      exit 2));
   if Array.mem "--serve-only" Sys.argv then
     emit_serve_bench ~quick:(Array.mem "--quick" Sys.argv) ()
   else if Array.mem "--tune-only" Sys.argv then

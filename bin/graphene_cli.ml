@@ -7,7 +7,7 @@
      graphene simulate <kernel>   execute on the simulated GPU and verify
      graphene profile <kernel>    simulate with per-spec profiling: prints the
                                   report, writes JSON + Chrome-trace files
-     graphene tune [M N K]        rank GEMM tile configurations
+     graphene tune [KERNEL SIZES] search a GEMM/FMHA decomposition space
      graphene tables              regenerate the paper's tables and figures
      graphene table2              print the atomic-spec registry (Table 2) *)
 
@@ -328,7 +328,7 @@ let engine_conv =
     ( (fun s ->
         match Gpu_sim.Interp.engine_of_string s with
         | Some e -> Ok e
-        | None -> Error (`Msg "expected tree|closure|bytecode")),
+        | None -> Error (`Msg "expected tree|bytecode")),
       fun fmt e -> Format.pp_print_string fmt (Gpu_sim.Interp.engine_name e) )
 
 let engine_arg =
@@ -338,11 +338,10 @@ let engine_arg =
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Plan execution engine: $(b,bytecode) (the flattened \
-           instruction-array executor), $(b,closure) (the compiled op-tree \
-           walker, kept as the drift oracle) or $(b,tree) (symbolic \
+           instruction-array executor) or $(b,tree) (symbolic \
            re-interpretation of the kernel, the reference semantics). \
-           Default: \\$GRAPHENE_SIM_ENGINE, else bytecode. All three \
-           produce bit-identical results; see docs/LOWERING.md.")
+           Default: \\$GRAPHENE_SIM_ENGINE, else bytecode. Both produce \
+           bit-identical results; see docs/LOWERING.md.")
 
 let simulate_cmd =
   let check_domains =
@@ -362,10 +361,10 @@ let simulate_cmd =
       & info [ "check-engines" ]
           ~doc:
             "Cross-engine determinism check: run the kernel with the tree \
-             engine (1 domain) as baseline, then with the closure and \
-             bytecode engines (bytecode also on 2 domains), and require \
-             bit-identical profiler report, Chrome trace and output \
-             buffers. Exits non-zero on any difference.")
+             engine (1 domain) as baseline, then with the bytecode engine \
+             on 1 and 2 domains, and require bit-identical profiler report, \
+             Chrome trace and output buffers. Exits non-zero on any \
+             difference.")
   in
   let run arch name domains engine check check_eng =
     let kernel, args, verify = build arch name in
@@ -420,8 +419,7 @@ let simulate_cmd =
       (* no for_all: every engine should print, even after a mismatch *)
       let oks =
         List.map run_one
-          [ (Gpu_sim.Interp.Closure, 1)
-          ; (Gpu_sim.Interp.Bytecode, 1)
+          [ (Gpu_sim.Interp.Bytecode, 1)
           ; (Gpu_sim.Interp.Bytecode, 2)
           ]
       in
@@ -509,6 +507,40 @@ let profile_cmd =
       const run $ arch_arg $ kernel_arg $ out_dir $ detail $ domains_arg
       $ engine_arg)
 
+(* [tune --profile N]: re-run one proxy-simulated search candidate with
+   the profiler attached. Its proxy plan is a plan-cache hit after tier
+   2; traffic is data-independent, so zero-filled inputs suffice. *)
+let print_proxy_profile machine (s : Tuner.Search.simulated) =
+  let module S = Tuner.Search in
+  let cand = s.S.sc.S.cand in
+  let arch = machine.Gpu_sim.Machine.arch in
+  let kernel = cand.S.proxy () in
+  let t0 = Unix.gettimeofday () in
+  let plan, cache_hit =
+    Lower.Pipeline.lower_cached ?vectorize:cand.S.vectorize arch kernel
+      ~stages:cand.S.stages
+  in
+  let lower_s = Unix.gettimeofday () -. t0 in
+  let profiler = Gpu_sim.Profiler.create () in
+  let counters =
+    Gpu_sim.Interp.run_plan ~profiler ~domains:1 plan
+      ~args:(S.zero_args kernel) ()
+  in
+  let rep =
+    Gpu_sim.Profiler.report profiler ~kernel ~arch ~counters ~machine ()
+  in
+  Format.printf
+    "  profiled %a (proxy, %s engine): %s-bound, %.0f%% coalesced, %d \
+     bank-conflict cycles/block, lowered in %.1fms%s@."
+    S.pp_knobs cand.S.knobs
+    (Gpu_sim.Interp.engine_name (Gpu_sim.Interp.default_plan_engine ()))
+    rep.Gpu_sim.Profiler.bound
+    (100.0 *. rep.Gpu_sim.Profiler.totals.Gpu_sim.Profiler.coalescing)
+    (rep.Gpu_sim.Profiler.totals.Gpu_sim.Profiler.shared_bank_conflicts
+    / max 1 rep.Gpu_sim.Profiler.grid_blocks)
+    (1e3 *. lower_s)
+    (if cache_hit then " (plan cache hit)" else "")
+
 let tune_cmd =
   let mnk =
     Arg.(
@@ -527,21 +559,9 @@ let tune_cmd =
       value & opt int 0
       & info [ "profile" ] ~docv:"N"
           ~doc:
-            "Simulate the top $(docv) candidates at a proxy size and attach \
-             a measured per-spec profile (coalescing, bank conflicts) to \
-             each line.")
-  in
-  let search =
-    Arg.(
-      value & flag
-      & info [ "search" ]
-          ~doc:
-            "Run the three-tier schedule-space search instead of the fixed \
-             sweep: model-score the full decomposition space (tile shapes x \
-             swizzle x vectorize x pipeline depth), proxy-simulate the \
-             front-runners with measured occupancy/width feedback, and \
-             verify the winner bit-identical against the reference \
-             interpreter. See docs/TUNING.md.")
+            "Attach a measured per-spec profile (coalescing, bank \
+             conflicts) of the proxy plan to each of the top $(docv) \
+             proxy-simulated candidates.")
   in
   let budget =
     Arg.(
@@ -573,74 +593,52 @@ let tune_cmd =
       & info [ "o"; "output" ] ~docv:"FILE"
           ~doc:"Also write the search trajectory as JSON to $(docv).")
   in
-  let run arch kernel sizes profile_top search budget proxy_top seed out
-      domains =
+  let run arch kernel sizes profile_top budget proxy_top seed out domains =
     let machine = Gpu_sim.Machine.of_arch arch in
-    if search then begin
-      let space =
-        match kernel with
-        | "gemm" ->
-          let m, n, k =
-            match sizes with [ m; n; k ] -> (m, n, k) | _ -> (4096, 4096, 1024)
-          in
-          Tuner.Search.gemm_space arch ~m ~n ~k ()
-        | "fmha" ->
-          let seq, dh =
-            match sizes with [ s; d ] -> (s, d) | _ -> (256, 64)
-          in
-          Tuner.Search.fmha_space arch ~seq ~dh ()
-        | other ->
-          Format.eprintf "error: no search space for kernel %s (try gemm or \
-                          fmha)@." other;
-          exit 2
-      in
-      let o =
-        Tuner.Search.search ~seed ~max_candidates:budget ~proxy_top ?domains
-          machine space ()
-      in
-      Format.printf "%a@." Tuner.Search.pp_outcome o;
-      Option.iter
-        (fun f ->
-          write_file f (Tuner.Search.to_json o);
-          Format.printf "wrote %s@." f)
-        out;
-      if not o.Tuner.Search.o_verified then begin
-        Format.printf "no candidate passed verification@.";
-        exit 1
-      end
-    end
-    else begin
-      if kernel <> "gemm" then begin
-        Format.eprintf
-          "error: the fixed sweep only tunes gemm; use --search for %s@."
-          kernel;
+    let space =
+      match kernel with
+      | "gemm" ->
+        let m, n, k =
+          match sizes with [ m; n; k ] -> (m, n, k) | _ -> (4096, 4096, 1024)
+        in
+        Tuner.Search.gemm_space arch ~m ~n ~k ()
+      | "fmha" ->
+        let seq, dh =
+          match sizes with [ s; d ] -> (s, d) | _ -> (256, 64)
+        in
+        Tuner.Search.fmha_space arch ~seq ~dh ()
+      | other ->
+        Format.eprintf "error: no search space for kernel %s (try gemm or \
+                        fmha)@." other;
         exit 2
-      end;
-      let m, n, k =
-        match sizes with [ m; n; k ] -> (m, n, k) | _ -> (4096, 4096, 1024)
-      in
-      let results =
-        Tuner.Autotune.tune ~profile_top ?domains machine
-          ~epilogue:Kernels.Epilogue.none ~m ~n ~k ()
-      in
-      Format.printf "top configurations for %dx%dx%d on %s:@." m n k
-        (Arch.display_name arch);
-      List.iteri
-        (fun i r ->
-          if i < 8 then
-            Format.printf "%2d. %a@." (i + 1) Tuner.Autotune.pp_result r)
-        results
+    in
+    let o =
+      Tuner.Search.search ~seed ~max_candidates:budget ~proxy_top ?domains
+        machine space ()
+    in
+    Format.printf "%a@." Tuner.Search.pp_outcome o;
+    List.iteri
+      (fun i s -> if i < profile_top then print_proxy_profile machine s)
+      o.Tuner.Search.o_simulated;
+    Option.iter
+      (fun f ->
+        write_file f (Tuner.Search.to_json o);
+        Format.printf "wrote %s@." f)
+      out;
+    if not o.Tuner.Search.o_verified then begin
+      Format.printf "no candidate passed verification@.";
+      exit 1
     end
   in
   Cmd.v
     (Cmd.info "tune"
        ~doc:
-         "Rank kernel decompositions for a problem size: the fixed GEMM \
-          sweep by default, or the three-tier schedule-space search \
-          ($(b,--search)) over gemm and fmha spaces with exact verification \
-          of the winner.")
+         "Search a kernel's decomposition space for a problem size: the \
+          three-tier schedule-space search over gemm and fmha spaces (model \
+          scoring, proxy simulation, exact verification of the winner). \
+          See docs/TUNING.md.")
     Term.(
-      const run $ arch_arg $ kernel_pos $ mnk $ profile_top $ search $ budget
+      const run $ arch_arg $ kernel_pos $ mnk $ profile_top $ budget
       $ proxy_top $ seed $ out $ domains_arg)
 
 let serve_cmd =

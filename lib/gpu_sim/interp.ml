@@ -116,7 +116,7 @@ let record_view_batch ctx env tids ~store (v : Ts.t) =
       end
     end
 
-(* ----- cp.async queue ops (shared by all three engines) -----
+(* ----- cp.async queue ops (shared by both engines) -----
 
    Commit/wait are statements, not atomic specs: they touch no counter a
    pre-pipelining kernel has (instructions, instr_mix, bytes, ...), only
@@ -144,13 +144,11 @@ let exec_wait_group ctx n =
 let is_async_name name =
   String.length name >= 8 && String.equal (String.sub name 0 8) "cp.async"
 
-let account_cost ctx (instr : Atomic.instr) (s : Spec.t) ~instances =
-  let c = instr.Atomic.cost s in
-  let is_tc =
-    String.length instr.Atomic.name >= 3
-    && String.equal (String.sub instr.Atomic.name 0 3) "mma"
-  in
-  if is_async_name instr.Atomic.name then
+(* Cost accounting for [instances] issues of one atomic instruction
+   (shared by both engines; the plan precomputes [name]/[is_tc]/
+   [is_async] and the cost at lowering). *)
+let account_cost ctx ~name ~is_tc ~is_async (c : Atomic.cost) ~instances =
+  if is_async then
     ctx.counters.Counters.async_copies <-
       ctx.counters.Counters.async_copies + instances;
   if is_tc then
@@ -163,12 +161,18 @@ let account_cost ctx (instr : Atomic.instr) (s : Spec.t) ~instances =
     ctx.counters.Counters.instructions
     + (c.Atomic.instructions * instances)
     - instances;
-  Counters.add_instr_n ctx.counters instr.Atomic.name instances;
-  Option.iter
-    (fun p ->
-      Profiler.on_cost p ~instr:instr.Atomic.name ~tc:is_tc ~flops:c.Atomic.flops
-        ~instructions:c.Atomic.instructions ~instances)
-    ctx.prof
+  Counters.add_instr_n ctx.counters name instances;
+  match ctx.prof with
+  | Some p ->
+    Profiler.on_cost p ~instr:name ~tc:is_tc ~flops:c.Atomic.flops
+      ~instructions:c.Atomic.instructions ~instances
+  | None -> ()
+
+let account_instr_cost ctx (instr : Atomic.instr) (s : Spec.t) ~instances =
+  let name = instr.Atomic.name in
+  account_cost ctx ~name
+    ~is_tc:(String.length name >= 3 && String.equal (String.sub name 0 3) "mma")
+    ~is_async:(is_async_name name) (instr.Atomic.cost s) ~instances
 
 (* Execute a per-thread atomic spec for all active threads, warp by warp, so
    that address batches model warp-synchronous coalescing. *)
@@ -192,12 +196,12 @@ let exec_per_thread ctx (instr : Atomic.instr) (s : Spec.t) env active =
             ~lanes:(List.length tids) ~dur)
         ctx.prof)
     warps;
-  account_cost ctx instr s ~instances:(List.length active)
+  account_instr_cost ctx instr s ~instances:(List.length active)
 
 (* ldmatrix address traffic: each lane supplies one 16-byte address covering
    a stored row (a logical column for the .trans variants); matrices are
    consumed in phases of eight lanes. *)
-let record_ldmatrix ctx ~trans x (s : Spec.t) env members =
+let record_ldmatrix_symbolic ctx ~trans x (s : Spec.t) env members =
   match s.Spec.ins with
   | [ src ] ->
     let outer_dims =
@@ -257,7 +261,7 @@ let exec_collective ctx (instr : Atomic.instr) (s : Spec.t) env active =
   List.iter
     (fun members ->
       (match Atomic.parse_ldmatrix instr.Atomic.name with
-      | Some (x, trans) -> record_ldmatrix ctx ~trans x s env members
+      | Some (x, trans) -> record_ldmatrix_symbolic ctx ~trans x s env members
       | None -> ());
       Semantics.exec ?trace:(sem_trace ctx) ~block:ctx.block ctx.mem ~instr
         ~spec:s ~env ~members;
@@ -267,7 +271,7 @@ let exec_collective ctx (instr : Atomic.instr) (s : Spec.t) env active =
             ~lanes:(Array.length members) ~dur)
         ctx.prof)
     groups;
-  account_cost ctx instr s ~instances:(List.length groups)
+  account_instr_cost ctx instr s ~instances:(List.length groups)
 
 let rec exec_stmt ctx env active stmt =
   match stmt with
@@ -544,13 +548,17 @@ let run_tree ~arch ?profiler ?domains (k : Spec.kernel) ~args ?(scalars = []) ()
     ();
   counters
 
-(* ===== the compiled-plan executor =====
+(* ===== the plan executor =====
 
-   Runs a [Lower.Plan.t]: atomic resolution already happened (once, at
-   lowering), loop bounds / predicates / view offsets are closures over
-   one dense slot array, and all profiler attribution strings and costs
-   are precomputed. Event and profiler output is bit-identical to
-   [run_tree] — test/test_lower.ml pins that down per kernel.
+   Runs a [Lower.Plan.t] in its flattened form (Lower.Bytecode): atomic
+   resolution already happened (once, at lowering), loop bounds /
+   predicates / view offsets are closures over one dense slot array, all
+   profiler attribution strings and costs are precomputed, and control
+   flow is a dense int-tagged instruction array driven by a tight
+   tail-recursive match over the opcode word. Observable behavior —
+   counters, profiler events and their order, traces, error messages,
+   memory effects — is bit-identical to [run_tree]; test/test_lower.ml
+   and test/test_bytecode.ml pin that down per kernel.
 
    Active sets are per-warp 32-bit masks ([Warp_mask]) instead of thread
    id lists, and the plan's depcheck annotations drive hoisting: a view
@@ -559,7 +567,14 @@ let run_tree ~arch ?profiler ?domains (k : Spec.kernel) ~args ?(scalars = []) ()
    ([v_dep_slots] / [a_members_slots]) hold the values they held when it
    was cached — equal inputs give equal results, so stale-but-equal reuse
    is sound. Address batches read only the first scalar offset, via the
-   allocation-free [v_addr0] closure. *)
+   allocation-free [v_addr0] closure.
+
+   The steady state allocates nothing: profiler hooks are direct matches
+   on [ctx.prof], loop and branch bodies are [pc] ranges, divergent
+   branches reuse a preallocated per-depth mask arena ([bc_taken] /
+   [bc_not_taken]) and [Semantics] dispatch tags are resolved once with
+   [Semantics.classify]. Allocation-freedom is what makes multi-domain
+   execution profitable: OCaml 5 minor collections stop every domain. *)
 
 module WM = Warp_mask
 module Depcheck = Lower.Depcheck
@@ -618,10 +633,11 @@ type gcache =
   ; mutable gc_groups : int array array
   }
 
-(* Per-range executor state: one slot env, one full-CTA mask, reusable
+(* Per-domain executor state: one slot env, one full-CTA mask, reusable
    scratch buffers, the hoisting caches (indexed by the plan's dense
-   view/atomic ids) and the per-atomic closures ([plan_env_fun] and the
-   offsets oracle), allocated once instead of once per atomic exec. *)
+   view/atomic ids), the per-atomic closures ([plan_env_fun] and the
+   offsets oracle) and the flattened program with its pre-resolved
+   dispatch tags, allocated once instead of once per atomic exec. *)
 type pctx =
   { c : ctx
   ; env : int array
@@ -638,6 +654,19 @@ type pctx =
   ; seen : (int array, unit) Hashtbl.t  (* group-dedup scratch *)
   ; mutable a_envf : (string -> int) array  (* by a_id *)
   ; mutable a_offs : (Ts.t -> int -> int array) array  (* by a_id *)
+  ; bc_code : int array
+  ; bc_atomics : P.atomic array
+  ; bc_exprs : (int array -> int) array
+  ; bc_conds : (int array -> bool) array
+  ; bc_labels : string array
+  ; bc_fails : string array
+  ; bc_sem : Semantics.code array  (* by a_id: pre-resolved dispatch *)
+  ; bc_taken : WM.t array  (* divergence mask arena, by branch depth *)
+  ; bc_not_taken : WM.t array
+  ; bc_lanes : int array array
+        (* by v_id: the current warp batch's first offset per lane, kept
+           by [record_batch] for Thread-tier global/shared views *)
+  ; bc_scalar_fma : bool array  (* by a_id: runs [exec_scalar_fma] *)
   }
 
 let snap_matches snap slots (env : int array) =
@@ -683,9 +712,9 @@ let thread_cached_offsets px (pv : P.view) tid =
     offs
   end
 
-(* The offsets oracle handed to [Semantics.exec]: compiled closure for the
-   atomic's own views (cached per the depcheck tier), symbolic fallback
-   for any derived view. *)
+(* The offsets oracle handed to [Semantics.exec_coded]: compiled closure
+   for the atomic's own views (cached per the depcheck tier), symbolic
+   fallback for any derived view. *)
 let plan_offsets_px px (a : P.atomic) v tid =
   px.env.(Slots.tid_slot) <- tid;
   match find_pview a v with
@@ -695,12 +724,124 @@ let plan_offsets_px px (a : P.atomic) v tid =
     else cached_offsets px pv
   | None -> Ts.scalar_offsets ~env:(with_tid (px.a_envf.(a.P.a_id)) tid) v
 
+(* A view the lane-address pass covers: [record_batch] evaluates its
+   first offset for every active lane, so execution can reuse it. *)
+let lane_recorded (pv : P.view) =
+  pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread
+  && not (Ms.equal pv.P.v_mem Ms.Register)
+
+(* The scalar FMA path applies to a per-thread [C_fma] whose three views
+   each hold exactly one element per thread — the naive GEMM's
+   [c += a * b]. Decided from the plan alone. *)
+let is_scalar_fma (a : P.atomic) sem =
+  let one (pv : P.view) =
+    match Ts.num_scalars_int pv.P.v_ts with
+    | n -> n = 1
+    | exception _ -> false
+  in
+  a.P.a_per_thread
+  && (match sem with Semantics.C_fma -> true | _ -> false)
+  &&
+  match (a.P.a_ins, a.P.a_outs) with
+  | [ x; y ], [ z ] -> one x && one y && one z
+  | _ -> false
+
+(* Build the per-domain executor state: walk the plan once to size and
+   seat the caches, then seat the per-atomic closures (they capture the
+   state record itself, hence the two-phase construction). *)
+let make_pctx ctx (plan : P.t) (env : int array) =
+  let vcaches =
+    Array.make plan.P.n_views { vc_valid = false; vc_snap = [||]; vc_offs = [||] }
+  in
+  let tcaches =
+    Array.make plan.P.n_views { tc_valid = false; tc_snap = [||]; tc_offs = [||] }
+  in
+  let nwords = WM.nwords ~cta_size:plan.P.cta_size in
+  let gcaches =
+    Array.make plan.P.n_atomics
+      { gc_valid = false; gc_snap = [||]; gc_mask = [||]; gc_groups = [||] }
+  in
+  P.iter_atomics
+    (fun a ->
+      let seat (pv : P.view) =
+        if pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread then
+          tcaches.(pv.P.v_id) <-
+            { tc_valid = false
+            ; tc_snap = Array.make (Array.length pv.P.v_dep_slots) Slots.unbound
+            ; tc_offs = Array.make plan.P.cta_size [||]
+            }
+        else
+          vcaches.(pv.P.v_id) <-
+            { vc_valid = false
+            ; vc_snap = Array.make (Array.length pv.P.v_dep_slots) Slots.unbound
+            ; vc_offs = [||]
+            }
+      in
+      List.iter seat a.P.a_ins;
+      List.iter seat a.P.a_outs;
+      gcaches.(a.P.a_id) <-
+        { gc_valid = false
+        ; gc_snap = Array.make (Array.length a.P.a_members_slots) Slots.unbound
+        ; gc_mask = Array.make nwords 0
+        ; gc_groups = [||]
+        })
+    plan.P.body;
+  let bc = Lower.Bytecode.get plan in
+  let sem =
+    Array.map
+      (fun (a : P.atomic) ->
+        Semantics.classify ~instr:a.P.a_instr ~spec:a.P.a_spec)
+      bc.P.bc_atomics
+  in
+  let px =
+    { c = ctx
+    ; env
+    ; full = WM.full ~cta_size:plan.P.cta_size
+    ; addrs = Array.make 32 0
+    ; ld8 = Array.make 8 0
+    ; members1 = [| 0 |]
+    ; fc_tids = Array.make 32 0
+    ; fc_src = Array.make 32 0
+    ; fc_dst = Array.make 32 0
+    ; vcaches
+    ; tcaches
+    ; gcaches
+    ; seen = Hashtbl.create 32
+    ; a_envf = [||]
+    ; a_offs = [||]
+    ; bc_code = bc.P.bc_code
+    ; bc_atomics = bc.P.bc_atomics
+    ; bc_exprs = bc.P.bc_exprs
+    ; bc_conds = bc.P.bc_conds
+    ; bc_labels = bc.P.bc_labels
+    ; bc_fails = bc.P.bc_fails
+    ; bc_sem = sem
+    ; bc_taken = Array.init bc.P.bc_max_depth (fun _ -> Array.make nwords 0)
+    ; bc_not_taken = Array.init bc.P.bc_max_depth (fun _ -> Array.make nwords 0)
+    ; bc_lanes = Array.init plan.P.n_views (fun _ -> Array.make 32 no_addr)
+    ; bc_scalar_fma = Array.map2 is_scalar_fma bc.P.bc_atomics sem
+    }
+  in
+  px.a_envf <- Array.make plan.P.n_atomics (fun _ -> 0);
+  px.a_offs <- Array.make plan.P.n_atomics (fun _ _ -> [||]);
+  P.iter_atomics
+    (fun a ->
+      px.a_envf.(a.P.a_id) <- plan_env_fun a env;
+      px.a_offs.(a.P.a_id) <- plan_offsets_px px a)
+    plan.P.body;
+  px
+
 (* One warp's address batch for one view: first scalar byte address per
    active lane, ascending. A thread-independent view yields one address
    computed once and duplicated per lane — the byte totals and the
    conflict phase structure depend on the lane count, so the duplicates
-   are semantically load-bearing, not waste. *)
-let record_plan_batch px w wmask ~store (pv : P.view) =
+   are semantically load-bearing, not waste.
+
+   This is also the lane-address pass: a Thread-tier view's first offset
+   is evaluated once per active lane and kept in the view's lane array
+   ([bc_lanes]), so the scalar FMA path reads it back instead of
+   evaluating the address closure (or the offsets oracle) again. *)
+let record_batch px w wmask ~store (pv : P.view) =
   match pv.P.v_mem with
   | Ms.Register -> ()
   | Ms.Global | Ms.Shared ->
@@ -708,10 +849,12 @@ let record_plan_batch px w wmask ~store (pv : P.view) =
     let n = ref 0 in
     if pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread then begin
       let base = w * 32 in
+      let lanes = Array.unsafe_get px.bc_lanes pv.P.v_id in
       for l = 0 to 31 do
         if wmask land (1 lsl l) <> 0 then begin
           env.(Slots.tid_slot) <- base + l;
           let a = pv.P.v_addr0 env in
+          Array.unsafe_set lanes l a;
           if a <> no_addr then begin
             Array.unsafe_set addrs !n (a * pv.P.v_elt_bytes);
             incr n
@@ -743,57 +886,39 @@ let record_plan_batch px w wmask ~store (pv : P.view) =
         ~width:pv.P.v_vec_width ~bytes:(bytes * !n);
       if Ms.equal pv.P.v_mem Ms.Global then begin
         Counters.record_global_batcha ctx.counters ~store ~bytes addrs ~len:!n;
-        Option.iter
-          (fun p ->
-            Profiler.on_global_batcha p ~block:ctx.block ~store ~bytes ~warp:w
-              addrs ~len:!n)
-          ctx.prof
+        match ctx.prof with
+        | Some p ->
+          Profiler.on_global_batcha p ~block:ctx.block ~store ~bytes ~warp:w
+            addrs ~len:!n
+        | None -> ()
       end
       else begin
         Counters.record_shared_batcha ctx.counters ~store ~bytes addrs ~len:!n;
-        Option.iter
-          (fun p ->
-            Profiler.on_shared_batcha p ~block:ctx.block ~store ~bytes ~warp:w
-              addrs ~len:!n)
-          ctx.prof
+        match ctx.prof with
+        | Some p ->
+          Profiler.on_shared_batcha p ~block:ctx.block ~store ~bytes ~warp:w
+            addrs ~len:!n
+        | None -> ()
       end
     end
 
 let rec record_batches px w wmask ~store = function
   | [] -> ()
   | pv :: tl ->
-    record_plan_batch px w wmask ~store pv;
+    record_batch px w wmask ~store pv;
     record_batches px w wmask ~store tl
 
-let account_cost_plan ctx (a : P.atomic) ~instances =
-  let c = a.P.a_cost in
-  if a.P.a_is_async then
-    ctx.counters.Counters.async_copies <-
-      ctx.counters.Counters.async_copies + instances;
-  if a.P.a_is_tc then
-    ctx.counters.Counters.tensor_core_flops <-
-      ctx.counters.Counters.tensor_core_flops + (c.Atomic.flops * instances)
-  else
-    ctx.counters.Counters.flops <-
-      ctx.counters.Counters.flops + (c.Atomic.flops * instances);
-  ctx.counters.Counters.instructions <-
-    ctx.counters.Counters.instructions
-    + (c.Atomic.instructions * instances)
-    - instances;
-  Counters.add_instr_n ctx.counters a.P.a_instr.Atomic.name instances;
-  Option.iter
-    (fun p ->
-      Profiler.on_cost p ~instr:a.P.a_instr.Atomic.name ~tc:a.P.a_is_tc
-        ~flops:c.Atomic.flops ~instructions:c.Atomic.instructions ~instances)
-    ctx.prof
+let account_plan_cost ctx (a : P.atomic) ~instances =
+  account_cost ctx ~name:a.P.a_instr.Atomic.name ~is_tc:a.P.a_is_tc
+    ~is_async:a.P.a_is_async a.P.a_cost ~instances
 
 (* The wide-transaction fast path: a vector-widened, full-span contiguous
-   move skips the per-lane [Semantics.exec] dispatch (and its offset
-   enumeration) — every active lane's enumeration is exactly
+   move skips the per-lane [Semantics.exec_coded] dispatch (and its
+   offset enumeration) — every active lane's enumeration is exactly
    [addr0, addr0 + n) on both sides, so one [exec_warp_move_contig] call
    per warp moves the whole batch. Skipped when instruction-level tracing
    is on: the detail trace wants one event per lane from the generic
-   path. Counter accounting ([record_batches], [account_cost_plan]) is
+   path. Counter accounting ([record_batches], [account_plan_cost]) is
    shared with the generic path, so only the data-movement engine
    changes. *)
 let exec_plan_fastcopy px (a : P.atomic) w m =
@@ -820,12 +945,91 @@ let exec_plan_fastcopy px (a : P.atomic) w m =
     Semantics.exec_warp_move_contig px.c.mem a.P.a_spec ~tids:px.fc_tids
       ~src_bases:px.fc_src ~dst_bases:px.fc_dst ~lanes:!lanes ~n
 
-let exec_plan_per_thread px (a : P.atomic) (mask : WM.t) =
+(* One lane's first offset of [pv]: from the lane-address pass when it
+   covers the view, else evaluated for this lane (the tid slot is set). *)
+let lane_addr0 px (pv : P.view) l =
+  if lane_recorded pv then
+    Array.unsafe_get (Array.unsafe_get px.bc_lanes pv.P.v_id) l
+  else pv.P.v_addr0 px.env
+
+(* One lane through the generic semantics (tracing off). *)
+let exec_lane px (a : P.atomic) sem tid =
+  let ctx = px.c in
+  px.members1.(0) <- tid;
+  Semantics.exec_coded ~block:ctx.block ~offs:px.a_offs.(a.P.a_id) ctx.mem sem
+    ~instr:a.P.a_instr ~spec:a.P.a_spec ~env:px.a_envf.(a.P.a_id)
+    ~members:px.members1
+
+(* The scalar FMA path: [c <- round (a * b + c)] per active lane, on
+   unboxed floats read straight from the buffers. Global and shared
+   buffers are resolved once per warp batch (on the first lane, at the
+   point the generic path first resolves them), register files per
+   lane. Per lane the order of offset evaluation, resolution, bounds
+   checks and the store is exactly [Semantics.exec_thread_fma]'s, so
+   faults and their messages match; a lane with an empty enumeration
+   (no first offset) runs the generic semantics instead. *)
+let exec_scalar_fma px (a : P.atomic) sem w m =
+  let ctx = px.c in
+  let mem = ctx.mem and env = px.env in
+  match (a.P.a_ins, a.P.a_outs) with
+  | [ va; vb ], [ vc ] ->
+    let ta = va.P.v_ts and tb = vb.P.v_ts and tc = vc.P.v_ts in
+    let reg_a = Ms.equal va.P.v_mem Ms.Register
+    and reg_b = Ms.equal vb.P.v_mem Ms.Register
+    and reg_c = Ms.equal vc.P.v_mem Ms.Register in
+    let dt = Ts.dtype tc in
+    let ba = ref [||] and bb = ref [||] and bc = ref [||] in
+    let ra = ref false and rb = ref false and rc = ref false in
+    let base = w * 32 in
+    for l = 0 to 31 do
+      if m land (1 lsl l) <> 0 then begin
+        let tid = base + l in
+        env.(Slots.tid_slot) <- tid;
+        let oa = lane_addr0 px va l in
+        if oa = no_addr then exec_lane px a sem tid
+        else begin
+          if reg_a || not !ra then begin
+            ba := Memory.buffer mem ~tid ta;
+            ra := true
+          end;
+          Memory.checked !ba ta oa;
+          let ob = lane_addr0 px vb l in
+          if ob = no_addr then exec_lane px a sem tid
+          else begin
+            if reg_b || not !rb then begin
+              bb := Memory.buffer mem ~tid tb;
+              rb := true
+            end;
+            Memory.checked !bb tb ob;
+            let oc = lane_addr0 px vc l in
+            if oc = no_addr then exec_lane px a sem tid
+            else begin
+              if reg_c || not !rc then begin
+                bc := Memory.buffer mem ~tid tc;
+                rc := true
+              end;
+              let cbuf = !bc in
+              Memory.checked cbuf tc oc;
+              let x =
+                (Array.unsafe_get !ba oa *. Array.unsafe_get !bb ob)
+                +. Array.unsafe_get cbuf oc
+              in
+              Array.unsafe_set cbuf oc (Dt.round dt x)
+            end
+          end
+        end
+      end
+    done
+  | _ -> invalid_arg "fma arity"
+
+let exec_plan_per_thread px (a : P.atomic) sem (mask : WM.t) =
   let ctx = px.c in
   let env = px.env in
   let envf = px.a_envf.(a.P.a_id) in
   let offs = px.a_offs.(a.P.a_id) in
-  let fastcopy = a.P.a_fastcopy && sem_trace ctx = None in
+  let trace = sem_trace ctx in
+  let fastcopy = a.P.a_fastcopy && trace = None in
+  let scalar_fma = Array.unsafe_get px.bc_scalar_fma a.P.a_id && trace = None in
   let total = ref 0 in
   for w = 0 to Array.length mask - 1 do
     let m = Array.unsafe_get mask w in
@@ -833,6 +1037,7 @@ let exec_plan_per_thread px (a : P.atomic) (mask : WM.t) =
       record_batches px w m ~store:false a.P.a_ins;
       record_batches px w m ~store:true a.P.a_outs;
       if fastcopy then exec_plan_fastcopy px a w m
+      else if scalar_fma then exec_scalar_fma px a sem w m
       else begin
         let base = w * 32 in
         for l = 0 to 31 do
@@ -840,23 +1045,23 @@ let exec_plan_per_thread px (a : P.atomic) (mask : WM.t) =
             let tid = base + l in
             env.(Slots.tid_slot) <- tid;
             px.members1.(0) <- tid;
-            Semantics.exec ?trace:(sem_trace ctx) ~block:ctx.block
-              ~offsets:offs ctx.mem ~instr:a.P.a_instr ~spec:a.P.a_spec
-              ~env:envf ~members:px.members1
+            Semantics.exec_coded ?trace ~block:ctx.block ~offs ctx.mem sem
+              ~instr:a.P.a_instr ~spec:a.P.a_spec ~env:envf
+              ~members:px.members1
           end
         done
       end;
       let lanes = WM.popcount32 m in
       total := !total + lanes;
-      Option.iter
-        (fun p ->
-          Profiler.exec_event p ~block:ctx.block ~warp:w ~lanes ~dur:a.P.a_dur)
-        ctx.prof
+      match ctx.prof with
+      | Some p ->
+        Profiler.exec_event p ~block:ctx.block ~warp:w ~lanes ~dur:a.P.a_dur
+      | None -> ()
     end
   done;
-  account_cost_plan ctx a ~instances:!total
+  account_plan_cost ctx a ~instances:!total
 
-let record_plan_ldmatrix px (a : P.atomic) ~trans x members =
+let record_ldmatrix px (a : P.atomic) ~trans x members =
   let ctx = px.c in
   match a.P.a_ld_rows with
   | Some (rows, elt_bytes) ->
@@ -865,8 +1070,8 @@ let record_plan_ldmatrix px (a : P.atomic) ~trans x members =
       let rj = rows.(j) in
       for r = 0 to 7 do
         let addr = rj.(r) px.env in
-        (* An empty row enumeration faulted as an array access on the
-           old path; keep the same exception. *)
+        (* An empty row enumeration raises what the tree path's
+           [offs.(0)] access raises. *)
         if addr = no_addr then invalid_arg "index out of bounds";
         Array.unsafe_set px.ld8 r (addr * elt_bytes)
       done;
@@ -874,16 +1079,17 @@ let record_plan_ldmatrix px (a : P.atomic) ~trans x members =
         ~len:8;
       Counters.record_requests ctx.counters ~global:false ~elems:1 ~width:1
         ~bytes:0;
-      Option.iter
-        (fun p ->
-          Profiler.on_shared_batcha p ~block:ctx.block ~store:false ~bytes:16
-            ~warp:(members.(0) / 32) px.ld8 ~len:8)
-        ctx.prof
+      match ctx.prof with
+      | Some p ->
+        Profiler.on_shared_batcha p ~block:ctx.block ~store:false ~bytes:16
+          ~warp:(members.(0) / 32) px.ld8 ~len:8
+      | None -> ()
     done
   | None ->
     (* Symbolic fallback (e.g. an outer extent the compiler couldn't make
        concrete) — identical traffic, derived the tree path's way. *)
-    record_ldmatrix ctx ~trans x a.P.a_spec (px.a_envf.(a.P.a_id)) members
+    record_ldmatrix_symbolic ctx ~trans x a.P.a_spec (px.a_envf.(a.P.a_id))
+      members
 
 (* Group the active threads into collective instances: probe every active
    thread ascending, dedup on the member array, and require every member
@@ -940,483 +1146,7 @@ let plan_groups px (a : P.atomic) (mask : WM.t) =
     groups
   end
 
-let exec_plan_collective px (a : P.atomic) (mask : WM.t) =
-  let ctx = px.c in
-  let groups = plan_groups px a mask in
-  let offs = px.a_offs.(a.P.a_id) in
-  let envf = px.a_envf.(a.P.a_id) in
-  Array.iter
-    (fun members ->
-      (match a.P.a_ldmatrix with
-      | Some (x, trans) -> record_plan_ldmatrix px a ~trans x members
-      | None -> ());
-      Semantics.exec ?trace:(sem_trace ctx) ~block:ctx.block ~offsets:offs
-        ctx.mem ~instr:a.P.a_instr ~spec:a.P.a_spec ~env:envf ~members;
-      Option.iter
-        (fun p ->
-          Profiler.exec_event p ~block:ctx.block ~warp:(members.(0) / 32)
-            ~lanes:(Array.length members) ~dur:a.P.a_dur)
-        ctx.prof)
-    groups;
-  account_cost_plan ctx a ~instances:(Array.length groups)
-
-let rec exec_plan_op px (mask : WM.t) op =
-  let ctx = px.c in
-  match op with
-  | P.Atomic_exec a ->
-    Option.iter
-      (fun p ->
-        Profiler.begin_atomic p ~label:a.P.a_label ~kind:a.P.a_kind
-          ~instr:a.P.a_instr.Atomic.name)
-      ctx.prof;
-    if a.P.a_per_thread then exec_plan_per_thread px a mask
-    else exec_plan_collective px a mask
-  | P.Loop { l_var; l_slot; l_lo; l_hi; l_step; l_body } ->
-    let env = px.env in
-    let lo = l_lo env and hi = l_hi env and step = l_step env in
-    if step <= 0 then error "loop %s has non-positive step" l_var;
-    Option.iter (fun p -> Profiler.enter_frame p l_var) ctx.prof;
-    let v = ref lo in
-    while !v < hi do
-      env.(l_slot) <- !v;
-      List.iter (exec_plan_op px mask) l_body;
-      v := !v + step
-    done;
-    Option.iter Profiler.exit_frame ctx.prof
-  | P.Branch { b_tid_dep; b_cond; b_then; b_else } ->
-    if b_tid_dep then begin
-      let env = px.env in
-      let nw = Array.length mask in
-      let taken = Array.make nw 0 in
-      let not_taken = Array.make nw 0 in
-      for w = 0 to nw - 1 do
-        let m = Array.unsafe_get mask w in
-        if m <> 0 then begin
-          let t = ref 0 in
-          let base = w * 32 in
-          for l = 0 to 31 do
-            if m land (1 lsl l) <> 0 then begin
-              env.(Slots.tid_slot) <- base + l;
-              if b_cond env then t := !t lor (1 lsl l)
-            end
-          done;
-          taken.(w) <- !t;
-          not_taken.(w) <- m land lnot !t
-        end
-      done;
-      if not (WM.is_empty taken) then List.iter (exec_plan_op px taken) b_then;
-      if b_else <> [] && not (WM.is_empty not_taken) then
-        List.iter (exec_plan_op px not_taken) b_else
-    end
-    else if b_cond px.env then List.iter (exec_plan_op px mask) b_then
-    else List.iter (exec_plan_op px mask) b_else
-  | P.Barrier ->
-    let active = WM.popcount mask in
-    if active <> ctx.cta_size then
-      error "__syncthreads() inside divergent control flow (%d of %d threads)"
-        active ctx.cta_size;
-    Option.iter (fun p -> Profiler.on_barrier p ~block:ctx.block) ctx.prof
-  | P.Commit_group -> exec_commit_group ctx
-  | P.Wait_group n -> exec_wait_group ctx n
-  | P.Frame { f_label; f_body } ->
-    Option.iter (fun p -> Profiler.enter_frame p f_label) ctx.prof;
-    List.iter (exec_plan_op px mask) f_body;
-    Option.iter Profiler.exit_frame ctx.prof
-  | P.Fail msg -> error "%s" msg
-
-(* Build the per-range executor state: walk the plan once to size and
-   seat the caches, then seat the per-atomic closures (they capture the
-   state record itself, hence the two-phase construction). *)
-let make_pctx ctx (plan : P.t) (env : int array) =
-  let vcaches =
-    Array.make plan.P.n_views { vc_valid = false; vc_snap = [||]; vc_offs = [||] }
-  in
-  let tcaches =
-    Array.make plan.P.n_views { tc_valid = false; tc_snap = [||]; tc_offs = [||] }
-  in
-  let nwords = WM.nwords ~cta_size:plan.P.cta_size in
-  let gcaches =
-    Array.make plan.P.n_atomics
-      { gc_valid = false; gc_snap = [||]; gc_mask = [||]; gc_groups = [||] }
-  in
-  P.iter_atomics
-    (fun a ->
-      let seat (pv : P.view) =
-        if pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread then
-          tcaches.(pv.P.v_id) <-
-            { tc_valid = false
-            ; tc_snap = Array.make (Array.length pv.P.v_dep_slots) Slots.unbound
-            ; tc_offs = Array.make plan.P.cta_size [||]
-            }
-        else
-          vcaches.(pv.P.v_id) <-
-            { vc_valid = false
-            ; vc_snap = Array.make (Array.length pv.P.v_dep_slots) Slots.unbound
-            ; vc_offs = [||]
-            }
-      in
-      List.iter seat a.P.a_ins;
-      List.iter seat a.P.a_outs;
-      gcaches.(a.P.a_id) <-
-        { gc_valid = false
-        ; gc_snap = Array.make (Array.length a.P.a_members_slots) Slots.unbound
-        ; gc_mask = Array.make nwords 0
-        ; gc_groups = [||]
-        })
-    plan.P.body;
-  let px =
-    { c = ctx
-    ; env
-    ; full = WM.full ~cta_size:plan.P.cta_size
-    ; addrs = Array.make 32 0
-    ; ld8 = Array.make 8 0
-    ; members1 = [| 0 |]
-    ; fc_tids = Array.make 32 0
-    ; fc_src = Array.make 32 0
-    ; fc_dst = Array.make 32 0
-    ; vcaches
-    ; tcaches
-    ; gcaches
-    ; seen = Hashtbl.create 32
-    ; a_envf = [||]
-    ; a_offs = [||]
-    }
-  in
-  px.a_envf <- Array.make plan.P.n_atomics (fun _ -> 0);
-  px.a_offs <- Array.make plan.P.n_atomics (fun _ _ -> [||]);
-  P.iter_atomics
-    (fun a ->
-      px.a_envf.(a.P.a_id) <- plan_env_fun a env;
-      px.a_offs.(a.P.a_id) <- plan_offsets_px px a)
-    plan.P.body;
-  px
-
-(* ===== the bytecode executor =====
-
-   Runs the flattened form of a plan (Lower.Bytecode): a dense
-   int-tagged instruction array driven by a tight tail-recursive match
-   over the opcode word. Compared to the closure walker above it
-   eliminates the steady-state allocation the boxed op tree forces:
-   [Option.iter] closures on every profiler hook (allocated even with no
-   profiler attached), [List.iter] partial applications per loop
-   iteration and branch arm, two fresh mask arrays per divergent branch
-   (replaced by a preallocated per-depth arena in [bc_taken] /
-   [bc_not_taken]), and the per-call instruction-name parse inside
-   [Semantics.exec] (replaced by dispatch tags pre-resolved once with
-   [Semantics.classify]). Allocation-freedom is what makes multi-domain
-   execution profitable: OCaml 5 minor collections stop every domain, so
-   the closure walker's allocation rate caps parallel speedup.
-
-   Observable behavior — counters, profiler events and their order,
-   traces, error messages, memory effects — is bit-identical to the
-   closure walker and to [run_tree]; test/test_bytecode.ml pins that
-   down. The closure walker stays selectable (the [Closure] engine)
-   as the drift oracle. *)
-
-type bctx =
-  { bp : pctx
-  ; bc_code : int array
-  ; bc_atomics : P.atomic array
-  ; bc_exprs : (int array -> int) array
-  ; bc_conds : (int array -> bool) array
-  ; bc_labels : string array
-  ; bc_fails : string array
-  ; bc_sem : Semantics.code array  (* by a_id: pre-resolved dispatch *)
-  ; bc_taken : WM.t array  (* divergence mask arena, by branch depth *)
-  ; bc_not_taken : WM.t array
-  ; bc_lanes : int array array
-        (* by v_id: the current warp batch's first offset per lane, kept
-           by [bc_record_batch] for Thread-tier global/shared views *)
-  ; bc_scalar_fma : bool array  (* by a_id: runs [bc_exec_scalar_fma] *)
-  }
-
-(* A view the lane-address pass covers: [bc_record_batch] evaluates its
-   first offset for every active lane, so execution can reuse it. *)
-let lane_recorded (pv : P.view) =
-  pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread
-  && not (Ms.equal pv.P.v_mem Ms.Register)
-
-(* The scalar FMA path applies to a per-thread [C_fma] whose three views
-   each hold exactly one element per thread — the naive GEMM's
-   [c += a * b]. Decided from the plan alone. *)
-let is_scalar_fma (a : P.atomic) sem =
-  let one (pv : P.view) =
-    match Ts.num_scalars_int pv.P.v_ts with
-    | n -> n = 1
-    | exception _ -> false
-  in
-  a.P.a_per_thread
-  && (match sem with Semantics.C_fma -> true | _ -> false)
-  &&
-  match (a.P.a_ins, a.P.a_outs) with
-  | [ x; y ], [ z ] -> one x && one y && one z
-  | _ -> false
-
-let make_bctx ctx (plan : P.t) env =
-  let bp = make_pctx ctx plan env in
-  let bc = Lower.Bytecode.get plan in
-  let nwords = WM.nwords ~cta_size:plan.P.cta_size in
-  let sem =
-    Array.map
-      (fun (a : P.atomic) ->
-        Semantics.classify ~instr:a.P.a_instr ~spec:a.P.a_spec)
-      bc.P.bc_atomics
-  in
-  { bp
-  ; bc_code = bc.P.bc_code
-  ; bc_atomics = bc.P.bc_atomics
-  ; bc_exprs = bc.P.bc_exprs
-  ; bc_conds = bc.P.bc_conds
-  ; bc_labels = bc.P.bc_labels
-  ; bc_fails = bc.P.bc_fails
-  ; bc_sem = sem
-  ; bc_taken = Array.init bc.P.bc_max_depth (fun _ -> Array.make nwords 0)
-  ; bc_not_taken = Array.init bc.P.bc_max_depth (fun _ -> Array.make nwords 0)
-  ; bc_lanes = Array.init plan.P.n_views (fun _ -> Array.make 32 no_addr)
-  ; bc_scalar_fma = Array.map2 is_scalar_fma bc.P.bc_atomics sem
-  }
-
-(* Allocation-free twins of the closure walker's helpers: direct matches
-   on [ctx.prof] instead of [Option.iter] closures, [for] loops instead
-   of [Array.iter]/[List.iter]. Event order, payloads and error strings
-   must stay in sync with the originals above — the bit-identity suite
-   compares the two engines event for event. *)
-
-(* The lane-address pass: a Thread-tier view's first offset is
-   evaluated once per active lane and kept in the view's lane array
-   ([bc_lanes]), so the scalar FMA path reads it back instead of
-   evaluating the address closure (or the offsets oracle) again. *)
-let bc_record_batch bx w wmask ~store (pv : P.view) =
-  match pv.P.v_mem with
-  | Ms.Register -> ()
-  | Ms.Global | Ms.Shared ->
-    let px = bx.bp in
-    let env = px.env and addrs = px.addrs in
-    let n = ref 0 in
-    if pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread then begin
-      let base = w * 32 in
-      let lanes = Array.unsafe_get bx.bc_lanes pv.P.v_id in
-      for l = 0 to 31 do
-        if wmask land (1 lsl l) <> 0 then begin
-          env.(Slots.tid_slot) <- base + l;
-          let a = pv.P.v_addr0 env in
-          Array.unsafe_set lanes l a;
-          if a <> no_addr then begin
-            Array.unsafe_set addrs !n (a * pv.P.v_elt_bytes);
-            incr n
-          end
-        end
-      done
-    end
-    else begin
-      let a = pv.P.v_addr0 env in
-      if a <> no_addr then begin
-        let count = WM.popcount32 wmask in
-        let byte = a * pv.P.v_elt_bytes in
-        for i = 0 to count - 1 do
-          Array.unsafe_set addrs i byte
-        done;
-        n := count
-      end
-    end;
-    if !n > 0 then begin
-      let ctx = px.c in
-      let bytes = pv.P.v_batch_bytes in
-      Counters.record_requests ctx.counters
-        ~global:(Ms.equal pv.P.v_mem Ms.Global)
-        ~elems:(bytes / pv.P.v_elt_bytes)
-        ~width:pv.P.v_vec_width ~bytes:(bytes * !n);
-      if Ms.equal pv.P.v_mem Ms.Global then begin
-        Counters.record_global_batcha ctx.counters ~store ~bytes addrs ~len:!n;
-        match ctx.prof with
-        | Some p ->
-          Profiler.on_global_batcha p ~block:ctx.block ~store ~bytes ~warp:w
-            addrs ~len:!n
-        | None -> ()
-      end
-      else begin
-        Counters.record_shared_batcha ctx.counters ~store ~bytes addrs ~len:!n;
-        match ctx.prof with
-        | Some p ->
-          Profiler.on_shared_batcha p ~block:ctx.block ~store ~bytes ~warp:w
-            addrs ~len:!n
-        | None -> ()
-      end
-    end
-
-let rec bc_record_batches bx w wmask ~store = function
-  | [] -> ()
-  | pv :: tl ->
-    bc_record_batch bx w wmask ~store pv;
-    bc_record_batches bx w wmask ~store tl
-
-let bc_account_cost ctx (a : P.atomic) ~instances =
-  let c = a.P.a_cost in
-  if a.P.a_is_async then
-    ctx.counters.Counters.async_copies <-
-      ctx.counters.Counters.async_copies + instances;
-  if a.P.a_is_tc then
-    ctx.counters.Counters.tensor_core_flops <-
-      ctx.counters.Counters.tensor_core_flops + (c.Atomic.flops * instances)
-  else
-    ctx.counters.Counters.flops <-
-      ctx.counters.Counters.flops + (c.Atomic.flops * instances);
-  ctx.counters.Counters.instructions <-
-    ctx.counters.Counters.instructions
-    + (c.Atomic.instructions * instances)
-    - instances;
-  Counters.add_instr_n ctx.counters a.P.a_instr.Atomic.name instances;
-  match ctx.prof with
-  | Some p ->
-    Profiler.on_cost p ~instr:a.P.a_instr.Atomic.name ~tc:a.P.a_is_tc
-      ~flops:c.Atomic.flops ~instructions:c.Atomic.instructions ~instances
-  | None -> ()
-
-(* One lane's first offset of [pv]: from the lane-address pass when it
-   covers the view, else evaluated for this lane (the tid slot is set). *)
-let bc_lane_addr0 bx (pv : P.view) l =
-  if lane_recorded pv then
-    Array.unsafe_get (Array.unsafe_get bx.bc_lanes pv.P.v_id) l
-  else pv.P.v_addr0 bx.bp.env
-
-(* One lane through the generic semantics (tracing off). *)
-let bc_exec_lane px (a : P.atomic) sem tid =
-  let ctx = px.c in
-  px.members1.(0) <- tid;
-  Semantics.exec_coded ~block:ctx.block ~offs:px.a_offs.(a.P.a_id) ctx.mem sem
-    ~instr:a.P.a_instr ~spec:a.P.a_spec ~env:px.a_envf.(a.P.a_id)
-    ~members:px.members1
-
-(* The scalar FMA path: [c <- round (a * b + c)] per active lane, on
-   unboxed floats read straight from the buffers. Global and shared
-   buffers are resolved once per warp batch (on the first lane, at the
-   point the generic path first resolves them), register files per
-   lane. Per lane the order of offset evaluation, resolution, bounds
-   checks and the store is exactly [Semantics.exec_thread_fma]'s, so
-   faults and their messages match; a lane with an empty enumeration
-   (no first offset) runs the generic semantics instead. *)
-let bc_exec_scalar_fma bx (a : P.atomic) sem w m =
-  let px = bx.bp in
-  let ctx = px.c in
-  let mem = ctx.mem and env = px.env in
-  match (a.P.a_ins, a.P.a_outs) with
-  | [ va; vb ], [ vc ] ->
-    let ta = va.P.v_ts and tb = vb.P.v_ts and tc = vc.P.v_ts in
-    let reg_a = Ms.equal va.P.v_mem Ms.Register
-    and reg_b = Ms.equal vb.P.v_mem Ms.Register
-    and reg_c = Ms.equal vc.P.v_mem Ms.Register in
-    let dt = Ts.dtype tc in
-    let ba = ref [||] and bb = ref [||] and bc = ref [||] in
-    let ra = ref false and rb = ref false and rc = ref false in
-    let base = w * 32 in
-    for l = 0 to 31 do
-      if m land (1 lsl l) <> 0 then begin
-        let tid = base + l in
-        env.(Slots.tid_slot) <- tid;
-        let oa = bc_lane_addr0 bx va l in
-        if oa = no_addr then bc_exec_lane px a sem tid
-        else begin
-          if reg_a || not !ra then begin
-            ba := Memory.buffer mem ~tid ta;
-            ra := true
-          end;
-          Memory.checked !ba ta oa;
-          let ob = bc_lane_addr0 bx vb l in
-          if ob = no_addr then bc_exec_lane px a sem tid
-          else begin
-            if reg_b || not !rb then begin
-              bb := Memory.buffer mem ~tid tb;
-              rb := true
-            end;
-            Memory.checked !bb tb ob;
-            let oc = bc_lane_addr0 bx vc l in
-            if oc = no_addr then bc_exec_lane px a sem tid
-            else begin
-              if reg_c || not !rc then begin
-                bc := Memory.buffer mem ~tid tc;
-                rc := true
-              end;
-              let cbuf = !bc in
-              Memory.checked cbuf tc oc;
-              let x =
-                (Array.unsafe_get !ba oa *. Array.unsafe_get !bb ob)
-                +. Array.unsafe_get cbuf oc
-              in
-              Array.unsafe_set cbuf oc (Dt.round dt x)
-            end
-          end
-        end
-      end
-    done
-  | _ -> invalid_arg "fma arity"
-
-let bc_exec_per_thread bx (a : P.atomic) sem (mask : WM.t) =
-  let px = bx.bp in
-  let ctx = px.c in
-  let env = px.env in
-  let envf = px.a_envf.(a.P.a_id) in
-  let offs = px.a_offs.(a.P.a_id) in
-  let trace = sem_trace ctx in
-  let fastcopy = a.P.a_fastcopy && trace = None in
-  let scalar_fma = Array.unsafe_get bx.bc_scalar_fma a.P.a_id && trace = None in
-  let total = ref 0 in
-  for w = 0 to Array.length mask - 1 do
-    let m = Array.unsafe_get mask w in
-    if m <> 0 then begin
-      bc_record_batches bx w m ~store:false a.P.a_ins;
-      bc_record_batches bx w m ~store:true a.P.a_outs;
-      if fastcopy then exec_plan_fastcopy px a w m
-      else if scalar_fma then bc_exec_scalar_fma bx a sem w m
-      else begin
-        let base = w * 32 in
-        for l = 0 to 31 do
-          if m land (1 lsl l) <> 0 then begin
-            let tid = base + l in
-            env.(Slots.tid_slot) <- tid;
-            px.members1.(0) <- tid;
-            Semantics.exec_coded ?trace ~block:ctx.block ~offs ctx.mem sem
-              ~instr:a.P.a_instr ~spec:a.P.a_spec ~env:envf
-              ~members:px.members1
-          end
-        done
-      end;
-      let lanes = WM.popcount32 m in
-      total := !total + lanes;
-      match ctx.prof with
-      | Some p ->
-        Profiler.exec_event p ~block:ctx.block ~warp:w ~lanes ~dur:a.P.a_dur
-      | None -> ()
-    end
-  done;
-  bc_account_cost ctx a ~instances:!total
-
-let bc_record_ldmatrix px (a : P.atomic) ~trans x members =
-  let ctx = px.c in
-  match a.P.a_ld_rows with
-  | Some (rows, elt_bytes) ->
-    px.env.(Slots.tid_slot) <- members.(0);
-    for j = 0 to x - 1 do
-      let rj = rows.(j) in
-      for r = 0 to 7 do
-        let addr = rj.(r) px.env in
-        if addr = no_addr then invalid_arg "index out of bounds";
-        Array.unsafe_set px.ld8 r (addr * elt_bytes)
-      done;
-      Counters.record_shared_batcha ctx.counters ~store:false ~bytes:16 px.ld8
-        ~len:8;
-      Counters.record_requests ctx.counters ~global:false ~elems:1 ~width:1
-        ~bytes:0;
-      match ctx.prof with
-      | Some p ->
-        Profiler.on_shared_batcha p ~block:ctx.block ~store:false ~bytes:16
-          ~warp:(members.(0) / 32) px.ld8 ~len:8
-      | None -> ()
-    done
-  | None ->
-    record_ldmatrix ctx ~trans x a.P.a_spec (px.a_envf.(a.P.a_id)) members
-
-let bc_exec_collective bx (a : P.atomic) sem (mask : WM.t) =
-  let px = bx.bp in
+let exec_plan_collective px (a : P.atomic) sem (mask : WM.t) =
   let ctx = px.c in
   let groups = plan_groups px a mask in
   let offs = px.a_offs.(a.P.a_id) in
@@ -1425,7 +1155,7 @@ let bc_exec_collective bx (a : P.atomic) sem (mask : WM.t) =
   for g = 0 to Array.length groups - 1 do
     let members = Array.unsafe_get groups g in
     (match a.P.a_ldmatrix with
-    | Some (x, trans) -> bc_record_ldmatrix px a ~trans x members
+    | Some (x, trans) -> record_ldmatrix px a ~trans x members
     | None -> ());
     (Semantics.exec_coded ?trace ~block:ctx.block ~offs ctx.mem sem
       ~instr:a.P.a_instr ~spec:a.P.a_spec ~env:envf ~members);
@@ -1435,40 +1165,40 @@ let bc_exec_collective bx (a : P.atomic) sem (mask : WM.t) =
         ~lanes:(Array.length members) ~dur:a.P.a_dur
     | None -> ()
   done;
-  bc_account_cost ctx a ~instances:(Array.length groups)
+  account_plan_cost ctx a ~instances:(Array.length groups)
 
 (* The dispatch loop: execute instructions in [pc, endpc) under [mask].
    The literal opcodes must match the Lower.Bytecode.op_* constants
    (test_bytecode.ml pins them); literals keep the match a direct jump.
    Structured ops recurse into their body range, then tail-continue at
    the instruction after it. *)
-let rec bc_exec bx (mask : WM.t) pc endpc =
+let rec exec_plan px (mask : WM.t) pc endpc =
   if pc < endpc then begin
-    let code = bx.bc_code in
+    let code = px.bc_code in
     match Array.unsafe_get code pc with
     | 0 (* exec: a_id *) ->
       let a_id = Array.unsafe_get code (pc + 1) in
-      let a = Array.unsafe_get bx.bc_atomics a_id in
-      let ctx = bx.bp.c in
+      let a = Array.unsafe_get px.bc_atomics a_id in
+      let ctx = px.c in
       (match ctx.prof with
       | Some p ->
         Profiler.begin_atomic p ~label:a.P.a_label ~kind:a.P.a_kind
           ~instr:a.P.a_instr.Atomic.name
       | None -> ());
-      let sem = Array.unsafe_get bx.bc_sem a_id in
-      if a.P.a_per_thread then bc_exec_per_thread bx a sem mask
-      else bc_exec_collective bx a sem mask;
-      bc_exec bx mask (pc + 2) endpc
+      let sem = Array.unsafe_get px.bc_sem a_id in
+      if a.P.a_per_thread then exec_plan_per_thread px a sem mask
+      else exec_plan_collective px a sem mask;
+      exec_plan px mask (pc + 2) endpc
     | 1 (* loop: slot lo hi step label body_len *) ->
-      let env = bx.bp.env in
+      let env = px.env in
       let slot = code.(pc + 1) in
-      let lo = bx.bc_exprs.(code.(pc + 2)) env in
-      let hi = bx.bc_exprs.(code.(pc + 3)) env in
-      let step = bx.bc_exprs.(code.(pc + 4)) env in
-      let label = bx.bc_labels.(code.(pc + 5)) in
+      let lo = px.bc_exprs.(code.(pc + 2)) env in
+      let hi = px.bc_exprs.(code.(pc + 3)) env in
+      let step = px.bc_exprs.(code.(pc + 4)) env in
+      let label = px.bc_labels.(code.(pc + 5)) in
       let body_len = code.(pc + 6) in
       if step <= 0 then error "loop %s has non-positive step" label;
-      let ctx = bx.bp.c in
+      let ctx = px.c in
       (match ctx.prof with
       | Some p -> Profiler.enter_frame p label
       | None -> ());
@@ -1476,21 +1206,21 @@ let rec bc_exec bx (mask : WM.t) pc endpc =
       let v = ref lo in
       while !v < hi do
         env.(slot) <- !v;
-        bc_exec bx mask body (body + body_len);
+        exec_plan px mask body (body + body_len);
         v := !v + step
       done;
       (match ctx.prof with Some p -> Profiler.exit_frame p | None -> ());
-      bc_exec bx mask (body + body_len) endpc
+      exec_plan px mask (body + body_len) endpc
     | 2 (* uniform branch: cond then_len else_len *) ->
       let then_len = code.(pc + 2) and else_len = code.(pc + 3) in
       let tstart = pc + 4 in
-      if bx.bc_conds.(code.(pc + 1)) bx.bp.env then
-        bc_exec bx mask tstart (tstart + then_len)
-      else bc_exec bx mask (tstart + then_len) (tstart + then_len + else_len);
-      bc_exec bx mask (tstart + then_len + else_len) endpc
+      if px.bc_conds.(code.(pc + 1)) px.env then
+        exec_plan px mask tstart (tstart + then_len)
+      else exec_plan px mask (tstart + then_len) (tstart + then_len + else_len);
+      exec_plan px mask (tstart + then_len + else_len) endpc
     | 3 (* divergent branch: cond depth then_len else_len *) ->
-      let env = bx.bp.env in
-      let cond = bx.bc_conds.(code.(pc + 1)) in
+      let env = px.env in
+      let cond = px.bc_conds.(code.(pc + 1)) in
       let depth = code.(pc + 2) in
       let then_len = code.(pc + 3) and else_len = code.(pc + 4) in
       (* The per-depth arena pair: safe to reuse because everything
@@ -1498,8 +1228,8 @@ let rec bc_exec bx (mask : WM.t) pc endpc =
          and the words are rewritten wholesale — including zeroing
          where the incoming mask word is 0, since a previous branch at
          this depth may have left stale bits there. *)
-      let taken = Array.unsafe_get bx.bc_taken depth in
-      let not_taken = Array.unsafe_get bx.bc_not_taken depth in
+      let taken = Array.unsafe_get px.bc_taken depth in
+      let not_taken = Array.unsafe_get px.bc_not_taken depth in
       for w = 0 to Array.length mask - 1 do
         let m = Array.unsafe_get mask w in
         if m = 0 then begin
@@ -1521,15 +1251,15 @@ let rec bc_exec bx (mask : WM.t) pc endpc =
       done;
       let tstart = pc + 5 in
       if not (WM.is_empty taken) then
-        bc_exec bx taken tstart (tstart + then_len);
-      (* else_len = 0 iff the op tree's else body was empty: skip it
-         without consulting the mask, like the walker's [b_else <> []]. *)
+        exec_plan px taken tstart (tstart + then_len);
+      (* else_len = 0 iff the source If's else body was empty: skip it
+         without consulting the mask, like the tree's [else_ <> []]. *)
       if else_len > 0 && not (WM.is_empty not_taken) then
-        bc_exec bx not_taken (tstart + then_len)
+        exec_plan px not_taken (tstart + then_len)
           (tstart + then_len + else_len);
-      bc_exec bx mask (tstart + then_len + else_len) endpc
+      exec_plan px mask (tstart + then_len + else_len) endpc
     | 4 (* barrier *) ->
-      let ctx = bx.bp.c in
+      let ctx = px.c in
       let active = WM.popcount mask in
       if active <> ctx.cta_size then
         error
@@ -1538,24 +1268,24 @@ let rec bc_exec bx (mask : WM.t) pc endpc =
       (match ctx.prof with
       | Some p -> Profiler.on_barrier p ~block:ctx.block
       | None -> ());
-      bc_exec bx mask (pc + 1) endpc
+      exec_plan px mask (pc + 1) endpc
     | 5 (* frame: label body_len *) ->
-      let label = bx.bc_labels.(code.(pc + 1)) in
+      let label = px.bc_labels.(code.(pc + 1)) in
       let body_len = code.(pc + 2) in
-      let ctx = bx.bp.c in
+      let ctx = px.c in
       (match ctx.prof with
       | Some p -> Profiler.enter_frame p label
       | None -> ());
-      bc_exec bx mask (pc + 3) (pc + 3 + body_len);
+      exec_plan px mask (pc + 3) (pc + 3 + body_len);
       (match ctx.prof with Some p -> Profiler.exit_frame p | None -> ());
-      bc_exec bx mask (pc + 3 + body_len) endpc
-    | 6 (* fail *) -> error "%s" bx.bc_fails.(code.(pc + 1))
+      exec_plan px mask (pc + 3 + body_len) endpc
+    | 6 (* fail *) -> error "%s" px.bc_fails.(code.(pc + 1))
     | 7 (* cp.async.commit_group *) ->
-      exec_commit_group bx.bp.c;
-      bc_exec bx mask (pc + 1) endpc
+      exec_commit_group px.c;
+      exec_plan px mask (pc + 1) endpc
     | 8 (* cp.async.wait_group: n *) ->
-      exec_wait_group bx.bp.c (Array.unsafe_get code (pc + 1));
-      bc_exec bx mask (pc + 2) endpc
+      exec_wait_group px.c (Array.unsafe_get code (pc + 1));
+      exec_plan px mask (pc + 2) endpc
     | op -> error "corrupt bytecode: opcode %d at pc %d" op pc
   end
 
@@ -1563,18 +1293,15 @@ let rec bc_exec bx (mask : WM.t) pc endpc =
 
 type engine =
   | Tree
-  | Closure
   | Bytecode
 
 let engine_name = function
   | Tree -> "tree"
-  | Closure -> "closure"
   | Bytecode -> "bytecode"
 
 let engine_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "tree" -> Some Tree
-  | "closure" -> Some Closure
   | "bytecode" -> Some Bytecode
   | _ -> None
 
@@ -1585,9 +1312,7 @@ let default_plan_engine () =
     match engine_of_string s with
     | Some e -> e
     | None ->
-      error "invalid GRAPHENE_SIM_ENGINE %S (expected tree, closure or \
-             bytecode)"
-        s)
+      error "invalid GRAPHENE_SIM_ENGINE %S (expected tree or bytecode)" s)
 
 let run_plan ?profiler ?domains ?engine (plan : P.t) ~args ?(scalars = []) () =
   let engine =
@@ -1598,7 +1323,7 @@ let run_plan ?profiler ?domains ?engine (plan : P.t) ~args ?(scalars = []) () =
     (* The oracle: re-interpret the plan's source kernel symbolically. *)
     run_tree ~arch:plan.P.arch ?profiler ?domains plan.P.kernel ~args ~scalars
       ()
-  | (Closure | Bytecode) as engine ->
+  | Bytecode ->
     let arena = Memory.create_global () in
     List.iter (fun (name, data) -> Memory.bind_arena arena name data) args;
     let declare mem =
@@ -1623,55 +1348,34 @@ let run_plan ?profiler ?domains ?engine (plan : P.t) ~args ?(scalars = []) () =
     (* Each domain state gets its own block-local memory, its own copy of
        the scalar bindings (the slot env is mutated during execution) and
        its own hoisting caches and scratch buffers, shared by nothing. *)
-    let fresh_ctx () =
-      let mem = Memory.of_global arena in
-      declare mem;
-      { arch = plan.P.arch
-      ; mem
-      ; counters
-      ; cta_size = plan.P.cta_size
-      ; prof = None
-      ; block = 0
-      }
-    in
-    (match engine with
-    | Closure ->
-      run_grid ~domains ~auto ~grid_size ~counters ~profiler
-        ~make_state:(fun () ->
-          make_pctx (fresh_ctx ()) plan (Array.copy base_env))
-        ~set_sinks:(fun px c p ->
-          px.c.counters <- c;
-          px.c.prof <- p)
-        ~exec_block:(fun px bid ->
-          let ctx = px.c in
-          Memory.new_block ctx.mem;
-          ctx.block <- bid;
-          Option.iter Profiler.begin_block ctx.prof;
-          px.env.(Slots.bid_slot) <- bid;
-          try List.iter (exec_plan_op px px.full) plan.P.body
-          with Slots.Unbound_var v ->
-            error "unbound variable %s (missing scalar argument?)" v)
-        ()
-    | Bytecode ->
-      run_grid ~domains ~auto ~grid_size ~counters ~profiler
-        ~make_state:(fun () ->
-          make_bctx (fresh_ctx ()) plan (Array.copy base_env))
-        ~set_sinks:(fun bx c p ->
-          bx.bp.c.counters <- c;
-          bx.bp.c.prof <- p)
-        ~exec_block:(fun bx bid ->
-          let ctx = bx.bp.c in
-          Memory.new_block ctx.mem;
-          ctx.block <- bid;
-          (match ctx.prof with
-          | Some p -> Profiler.begin_block p
-          | None -> ());
-          bx.bp.env.(Slots.bid_slot) <- bid;
-          try bc_exec bx bx.bp.full 0 (Array.length bx.bc_code)
-          with Slots.Unbound_var v ->
-            error "unbound variable %s (missing scalar argument?)" v)
-        ()
-    | Tree -> assert false);
+    run_grid ~domains ~auto ~grid_size ~counters ~profiler
+      ~make_state:(fun () ->
+        let mem = Memory.of_global arena in
+        declare mem;
+        make_pctx
+          { arch = plan.P.arch
+          ; mem
+          ; counters
+          ; cta_size = plan.P.cta_size
+          ; prof = None
+          ; block = 0
+          }
+          plan (Array.copy base_env))
+      ~set_sinks:(fun px c p ->
+        px.c.counters <- c;
+        px.c.prof <- p)
+      ~exec_block:(fun px bid ->
+        let ctx = px.c in
+        Memory.new_block ctx.mem;
+        ctx.block <- bid;
+        (match ctx.prof with
+        | Some p -> Profiler.begin_block p
+        | None -> ());
+        px.env.(Slots.bid_slot) <- bid;
+        try exec_plan px px.full 0 (Array.length px.bc_code)
+        with Slots.Unbound_var v ->
+          error "unbound variable %s (missing scalar argument?)" v)
+      ();
     counters
 
 (* Lower once (through the plan cache), execute. Callers running the same

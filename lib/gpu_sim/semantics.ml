@@ -99,9 +99,9 @@ let single_io (s : Spec.t) =
   | _ -> invalid_arg "Semantics: arity"
 
 (* Every executor addresses views through [offs : Ts.t -> int -> int array],
-   the per-thread element offsets of a view. The default (below, in [exec])
-   derives them symbolically from [env]; a compiled execution plan passes
-   its precomputed offset closures instead. *)
+   the per-thread element offsets of a view. [exec] (below) derives them
+   symbolically from [env]; a compiled execution plan passes its
+   precomputed offset closures to [exec_coded] instead. *)
 
 (* ----- per-thread instructions ----- *)
 
@@ -397,13 +397,10 @@ let exec_shfl mem kind (s : Spec.t) env offs members =
 
 (* ----- dispatch ----- *)
 
-(* Pre-resolved dispatch for the bytecode executor: [exec] (below) pays
-   string parsing and prefix tests on every call to decide which
-   executor an instruction needs; [classify] makes that decision once
-   per (instr, spec) — at executor-state build time — and [exec_coded]
-   dispatches on the resulting tag. Same executors, same member-arity
-   checks, same errors and trace events; only the per-call string work
-   and the trace-hook closure allocation are gone. *)
+(* [classify] decides which executor an instruction needs from its name
+   and spec kind; [exec_coded] dispatches on the resulting tag. The
+   bytecode executor classifies once per (instr, spec) at executor-state
+   build time; the tree interpreter's [exec] classifies per call. *)
 
 type code =
   | C_ldmatrix of int
@@ -494,54 +491,7 @@ let exec_coded ?trace ?(block = 0) ~offs mem code ~(instr : Atomic.instr)
     else unhandled instr.Atomic.name members
   | C_generic -> unhandled instr.Atomic.name members
 
-let exec ?trace ?(block = 0) ?offsets mem ~instr ~spec ~env ~members =
-  let name = instr.Atomic.name in
-  let offs =
-    match offsets with
-    | Some f -> f
-    | None -> fun v tid -> Ts.scalar_offsets ~env:(with_tid env tid) v
-  in
-  (* Fine-grained (per-instance) instruction event, for detailed traces. *)
-  Option.iter
-    (fun tr ->
-      Trace.instant tr ~name:("sem:" ^ name) ~cat:"sem" ~pid:block
-        ~tid:(members.(0) / 32)
-        ~args:
-          [ ("lane0", Trace.Int members.(0))
-          ; ("lanes", Trace.Int (Array.length members))
-          ]
-        ())
-    trace;
-  match Atomic.parse_ldmatrix name with
-  | Some (x, _) -> exec_ldmatrix mem x spec offs members
-  | None ->
-    if starts_with "mma.m16n8k16" name then
-      exec_mma mem ~m:16 ~n:8 ~k:16 ~a_coords:mma_m16n8k16_a
-        ~b_coords:mma_m16n8k16_b ~c_coords:mma_m16n8k16_c spec offs members
-    else if String.equal "mma.m8n8k4" name then
-      exec_mma mem ~m:8 ~n:8 ~k:4 ~a_coords:mma_m8n8k4_a
-        ~b_coords:mma_m8n8k4_b ~c_coords:mma_m8n8k4_c spec offs members
-    else if starts_with "cp.async" name then (
-      match members with
-      | [| tid |] -> exec_thread_cp_async mem spec offs tid
-      | _ -> unhandled name members)
-    else (
-      match (spec.Spec.kind, members) with
-      | Spec.Shfl kind, _ -> exec_shfl mem kind spec env offs members
-      | Spec.Move, [| tid |] -> exec_thread_move mem spec offs tid
-      | Spec.Mat_mul, [| tid |] -> exec_thread_fma mem spec offs tid
-      | Spec.Unary_pointwise op, [| tid |] ->
-        exec_thread_unary mem op spec offs tid
-      | Spec.Binary_pointwise op, [| tid |] ->
-        exec_thread_binary mem op spec offs tid
-      | Spec.Reduction { op; axes }, [| tid |] ->
-        exec_thread_reduction mem op axes spec offs tid
-      | Spec.Init v, [| tid |] -> exec_thread_init mem v spec offs tid
-      | ( ( Spec.Move | Spec.Mat_mul | Spec.Unary_pointwise _
-          | Spec.Binary_pointwise _ | Spec.Reduction _ | Spec.Init _
-          | Spec.Generic _ ),
-          _ ) ->
-        invalid_arg
-          (Printf.sprintf
-             "Semantics.exec: unhandled instruction %s (%d members)" name
-             (Array.length members)))
+let exec ?trace ?block mem ~instr ~spec ~env ~members =
+  let offs v tid = Ts.scalar_offsets ~env:(with_tid env tid) v in
+  exec_coded ?trace ?block ~offs mem (classify ~instr ~spec) ~instr ~spec ~env
+    ~members

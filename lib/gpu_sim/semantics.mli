@@ -14,16 +14,12 @@
     Only data movement/compute happens here; event counting is the
     interpreter's job. [trace], when given (the profiler's detail mode),
     receives one instruction-level event per executed instance, tagged
-    with the issuing thread block [block] (default 0).
-
-    [offsets v tid], when given, supplies the element offsets of view [v]
-    for thread [tid] (a compiled execution plan passes its precomputed
-    offset closures); the default derives them symbolically from [env]
-    via [Tensor.scalar_offsets]. *)
+    with the issuing thread block [block] (default 0). View offsets are
+    derived symbolically from [env] via [Tensor.scalar_offsets]. It is
+    {!exec_coded} on the {!classify} tag of [(instr, spec)]. *)
 val exec :
   ?trace:Trace.t ->
   ?block:int ->
-  ?offsets:(Gpu_tensor.Tensor.t -> int -> int array) ->
   Memory.t ->
   instr:Graphene.Atomic.instr ->
   spec:Graphene.Spec.t ->
@@ -31,11 +27,10 @@ val exec :
   members:int array ->
   unit
 
-(** Pre-resolved dispatch for the bytecode executor. {!exec} decides
-    which executor an instruction needs by parsing its name on every
-    call; {!classify} makes that decision once per (instr, spec) and
-    {!exec_coded} dispatches on the tag — same executors, arity checks,
-    errors and trace events, minus the per-call string work. *)
+(** Pre-resolved dispatch: {!classify} decides which executor an
+    instruction needs once per (instr, spec) and {!exec_coded} dispatches
+    on the tag. The bytecode executor classifies at executor-state build
+    time, so no per-call string work remains. *)
 type code =
   | C_ldmatrix of int
   | C_mma_m16n8k16
@@ -54,9 +49,10 @@ type code =
 
 val classify : instr:Graphene.Atomic.instr -> spec:Graphene.Spec.t -> code
 
-(** Like {!exec} with mandatory precompiled [offs], dispatching on a
-    {!classify} tag instead of the instruction name. [instr] is only
-    consulted for trace events and error messages. *)
+(** Like {!exec} with caller-supplied [offs] (a compiled execution plan
+    passes its precomputed offset closures), dispatching on a {!classify}
+    tag instead of the instruction name. [instr] is only consulted for
+    trace events and error messages. *)
 val exec_coded :
   ?trace:Trace.t ->
   ?block:int ->

@@ -1,10 +1,13 @@
-(* Schedule-space search: from autotuner to superoptimizer.
+(* Schedule-space search: the one tuner, from autotuner to
+   superoptimizer.
 
-   Where {!Autotune} sweeps scalar parameters of one fixed GEMM
-   decomposition, this module searches the decomposition space itself —
-   tile and warp-tile shapes, swizzle on/off, vectorize on/off, software
-   pipeline depth — behind a kernel-agnostic candidate interface, so the
-   same engine tunes GEMM and FMHA (and any space a caller enumerates).
+   This module searches a kernel's decomposition space — tile and
+   warp-tile shapes, swizzle on/off, vectorize on/off, software pipeline
+   depth — behind a kernel-agnostic candidate interface, so the same
+   engine tunes GEMM and FMHA (and any space a caller enumerates). The
+   old fixed sweep over GEMM tile configurations lives on as the
+   [legacy] sub-space of {!gemm_space}: the baseline every search must
+   beat.
 
    The search runs in three escalating tiers:
 
@@ -56,9 +59,9 @@ type candidate =
   ; vectorize : bool option
         (** [Some b] pins the vectorize pass; [None] = process default *)
   ; legacy : bool
-        (** member of the old fixed sweep ({!Autotune}'s configuration
-            enumeration with library-default swizzle and vectorize) —
-            the baseline the search must beat *)
+        (** member of the fixed sweep ({!gemm_configs} with
+            library-default swizzle and vectorize) — the baseline the
+            search must beat *)
   ; build : unit -> Spec.kernel
   ; proxy : unit -> Spec.kernel
   }
@@ -116,34 +119,25 @@ type verdict =
   | Scored of scored
   | Pruned of string  (** reason slug: [build-refused] / [lower-refused] *)
 
-let score_candidate ?(keep_unlowerable = false) (machine : Gpu_sim.Machine.t)
-    (cand : candidate) =
+let score_candidate (machine : Gpu_sim.Machine.t) (cand : candidate) =
   let t0 = Unix.gettimeofday () in
   let arch = machine.Gpu_sim.Machine.arch in
   match cand.build () with
   | exception Invalid_argument _ -> Pruned "build-refused"
   | kernel -> (
-    let lowered =
-      match
-        Lower.Pipeline.lower_cached ?vectorize:cand.vectorize arch kernel
-          ~stages:cand.stages
-      with
-      | plan, _ -> Some plan
-      | exception _ -> None
-    in
-    match lowered with
-    | None when not keep_unlowerable -> Pruned "lower-refused"
-    | _ ->
-      let vec_width, eff_stages, vec_refusals, swpipe_refusals =
-        match lowered with
-        | Some plan ->
-          ( Option.value ~default:4.0
-              (Lower.Plan.global_vec_width plan.Lower.Plan.body)
-          , plan.Lower.Plan.pipelining.Lower.Plan.pl_stages
-          , Lower.Plan.refusal_histogram plan.Lower.Plan.body
-          , plan.Lower.Plan.pipelining.Lower.Plan.pl_refusals )
-        | None -> (1.0, 1, [], [])
+    match
+      Lower.Pipeline.lower_cached ?vectorize:cand.vectorize arch kernel
+        ~stages:cand.stages
+    with
+    | exception _ -> Pruned "lower-refused"
+    | plan, _ ->
+      let vec_width =
+        Option.value ~default:4.0
+          (Lower.Plan.global_vec_width plan.Lower.Plan.body)
       in
+      let eff_stages = plan.Lower.Plan.pipelining.Lower.Plan.pl_stages in
+      let vec_refusals = Lower.Plan.refusal_histogram plan.Lower.Plan.body in
+      let swpipe_refusals = plan.Lower.Plan.pipelining.Lower.Plan.pl_refusals in
       let totals = Gpu_sim.Static_analysis.of_kernel arch kernel () in
       let estimate =
         PM.of_totals ~vec_width
@@ -181,10 +175,10 @@ let ndomains_for ?domains total =
    groups (one pool task each); ascending regroup keeps the returned
    list — hence everything downstream — identical at every domain
    count. *)
-let tier1 ?domains ?keep_unlowerable machine cands =
+let tier1 ?domains machine cands =
   let total = List.length cands in
   let chunks = ndomains_for ?domains total in
-  let f c = (c, score_candidate ?keep_unlowerable machine c) in
+  let f c = (c, score_candidate machine c) in
   if chunks <= 1 then List.map f cands
   else begin
     let carr = Array.of_list cands in
@@ -580,9 +574,8 @@ let search ?(seed = 0) ?(max_candidates = 4096) ?(proxy_top = 8) ?domains
 (* ----- the GEMM space ----- *)
 
 (* All tile configurations valid for the problem (divisibility,
-   warp-count, cooperative-staging and shared-memory constraints).
-   {!Autotune.candidates} re-exports this — it is the old fixed sweep's
-   enumeration, and the [legacy] subset of {!gemm_space}. *)
+   warp-count, cooperative-staging and shared-memory constraints) — the
+   fixed sweep's enumeration, and the [legacy] subset of {!gemm_space}. *)
 let gemm_configs arch ~m ~n ~k =
   let base = Gemm.default_config arch in
   let tiles = [ 32; 64; 128; 256 ] in

@@ -1,8 +1,8 @@
 (* Tests for the bytecode plan executor (the flatten-to-bytecode pass
    plus [Interp.run_plan]'s dispatch loop):
 
-   - cross-engine determinism: for every kernel family, the three
-     [Interp.engine]s ([Tree], [Closure], [Bytecode]) at domains
+   - cross-engine determinism: for every kernel family, both
+     [Interp.engine]s ([Tree], [Bytecode]) at domains
      ∈ {1, 4, 7} must produce counters, profiler report JSON, Chrome
      traces, and output buffers bit-identical to the tree reference;
    - the fixed-seed divergence corpus of test_divergence.ml, driven
@@ -79,7 +79,7 @@ let check_all_counters_equal name (a : C.t) (b : C.t) =
 
 (* ----- cross-engine determinism ----- *)
 
-let engines = [ Interp.Tree; Interp.Closure; Interp.Bytecode ]
+let engines = [ Interp.Tree; Interp.Bytecode ]
 let domain_counts = [ 1; 4; 7 ]
 
 (* Run the kernel through every engine at every domain count; demand
@@ -482,6 +482,8 @@ let test_engine_names () =
     engines;
   check_bool "garbage is None" true
     (Interp.engine_of_string "jit" = None);
+  check_bool "the removed closure engine is None" true
+    (Interp.engine_of_string "closure" = None);
   check_bool "empty is None" true (Interp.engine_of_string "" = None)
 
 (* ----- cost-based chunking ----- *)

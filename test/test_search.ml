@@ -1,6 +1,8 @@
 (* Tests for the three-tier schedule-space search (docs/TUNING.md):
    determinism across domain counts, budget monotonicity, the exact
-   equivalence oracle, and the FMHA space. *)
+   equivalence oracle, the FMHA space, and the GEMM tuning contracts —
+   valid tile configurations, a sorted tier-1 ranking, a tier-1 head no
+   slower than the library default, a correct winner. *)
 
 module Arch = Graphene.Arch
 module PM = Gpu_sim.Perf_model
@@ -150,6 +152,93 @@ let test_feedback_in_range () =
         (s.S.occupancy >= 0.0 && s.S.occupancy <= 1.0 +. 1e-9))
     o.S.o_simulated
 
+(* ----- GEMM tuning contracts ----- *)
+
+(* Every tile configuration of the fixed sweep builds a kernel the
+   validator accepts. *)
+let test_gemm_configs_valid () =
+  let m = 512 and n = 512 and k = 512 in
+  let cfgs = S.gemm_configs Arch.SM86 ~m ~n ~k in
+  check_bool "several configurations" true (List.length cfgs > 5);
+  List.iter
+    (fun cfg ->
+      let kernel =
+        Kernels.Gemm.tensor_core Arch.SM86 cfg ~epilogue:Kernels.Epilogue.none
+          ~m ~n ~k ()
+      in
+      Alcotest.(check (list string)) "well-formed" []
+        (Graphene.Validate.check Arch.SM86 kernel))
+    cfgs
+
+(* Tier 1 over the fixed-sweep ([legacy]) candidates of a GEMM space,
+   ranked the way the search ranks it. The whole space's head can only
+   be at or below this one. *)
+let legacy_tier1_ranking ~m ~n ~k =
+  let space = S.gemm_space Arch.SM86 ~m ~n ~k () in
+  S.tier1 machine
+    (List.filter (fun (c : S.candidate) -> c.S.legacy) (space.S.enumerate ()))
+  |> List.filter_map (function _, S.Scored s -> Some s | _ -> None)
+  |> List.sort (fun (a : S.scored) b ->
+         match Float.compare a.S.estimate.PM.time_s b.S.estimate.PM.time_s with
+         | 0 -> compare a.S.cand.S.id b.S.cand.S.id
+         | c -> c)
+
+let test_ranking_sorted () =
+  let o = run (gemm_space ()) in
+  let rec sorted = function
+    | (a : S.scored) :: (b :: _ as rest) ->
+      a.S.estimate.PM.time_s <= b.S.estimate.PM.time_s && sorted rest
+    | _ -> true
+  in
+  check_bool "ranking non-empty" true (o.S.o_ranking <> []);
+  check_bool "sorted by estimate" true (sorted o.S.o_ranking)
+
+(* A skinny problem must not be stuck with the square default's tiles:
+   the tier-1 head of the fixed sweep is at or below the library-default
+   configuration, scored single-buffered (stages = 1 serializes copy and
+   compute). That (default, 1 stage) point is in the sweep itself, so
+   the head can only match or beat it. Model-only: no simulation. *)
+let test_head_beats_default () =
+  let default = Kernels.Gemm.default_config Arch.SM86 in
+  let score ~m ~n ~k =
+    (PM.of_kernel machine
+       ~pipeline:{ PM.stages = 1; occupancy = 0.0 }
+       (Kernels.Gemm.tensor_core Arch.SM86 default
+          ~epilogue:Kernels.Epilogue.none ~m ~n ~k ())
+       ())
+      .PM.time_s
+  in
+  List.iter
+    (fun (m, n, k) ->
+      match legacy_tier1_ranking ~m ~n ~k with
+      | [] -> Alcotest.failf "no scored candidate at %dx%dx%d" m n k
+      | head :: _ ->
+        check_bool
+          (Printf.sprintf "head beats default at %dx%dx%d" m n k)
+          true
+          (head.S.estimate.PM.time_s <= score ~m ~n ~k +. 1e-9))
+    [ (5376, 5376, 2048); (256, 4096, 512); (4096, 256, 512) ]
+
+(* The search winner, rebuilt at the full problem size, computes the
+   GEMM the CPU reference computes. *)
+let test_winner_matches_cpu_reference () =
+  let m = 128 and n = 128 and k = 128 in
+  let o = run (gemm_space ()) in
+  match o.S.o_winner with
+  | None -> Alcotest.fail "no winner"
+  | Some w ->
+    let kernel = w.S.sc.S.cand.S.build () in
+    let a = Reference.Cpu_ref.random_fp16 ~seed:1 (m * k) in
+    let b = Reference.Cpu_ref.random_fp16 ~seed:2 (k * n) in
+    let c = Array.make (m * n) 0.0 in
+    ignore
+      (Gpu_sim.Interp.run ~arch:Arch.SM86 kernel
+         ~args:[ ("A", a); ("B", b); ("C", c) ]
+         ());
+    let c_ref = Array.make (m * n) 0.0 in
+    Reference.Cpu_ref.gemm ~m ~n ~k a b c_ref;
+    check_bool "winner is correct" true (Reference.Cpu_ref.allclose c c_ref)
+
 let () =
   Alcotest.run "search"
     [ ( "determinism"
@@ -179,5 +268,14 @@ let () =
     ; ( "feedback"
       , [ Alcotest.test_case "measured values in range" `Quick
             test_feedback_in_range
+        ] )
+    ; ( "gemm"
+      , [ Alcotest.test_case "configurations validate" `Slow
+            test_gemm_configs_valid
+        ; Alcotest.test_case "ranking sorted" `Quick test_ranking_sorted
+        ; Alcotest.test_case "head beats default" `Quick
+            test_head_beats_default
+        ; Alcotest.test_case "winner computes correctly" `Quick
+            test_winner_matches_cpu_reference
         ] )
     ]

@@ -3,10 +3,10 @@
 
    - bit-identity oracle: for every pipelining kernel family, the
      2- and 3-stage plans produce bit-identical outputs and pre-existing
-     counters to the unpipelined plan, on all three execution engines
+     counters to the unpipelined plan, on both execution engines
      (the Tree engine re-interprets the rewritten Spec kernel), at 1 and
      4 domains — only the async-queue occupancy counters may move, and
-     the three engines must agree with each other on those too;
+     the two engines must agree with each other on those too;
    - hand-computed queue accounting on a toy copy loop: commit/wait
      counts and the in-flight depth samples of the 1-, 2- and 3-stage
      schedules match the closed-form prologue/steady/tail arithmetic;
@@ -136,7 +136,7 @@ let check_buffers name a b =
       check_bool (Printf.sprintf "%s: buffer %s bitwise" name bn) true (x = y))
     a b
 
-(* ----- bit-identity: pipelined vs unpipelined, three engines ----- *)
+(* ----- bit-identity: pipelined vs unpipelined, both engines ----- *)
 
 let mk_args kernel =
   List.mapi
@@ -145,8 +145,8 @@ let mk_args kernel =
     kernel.Spec.params
 
 (* The Tree engine re-interprets the plan's (rewritten) Spec kernel, so
-   running the pipelined plan on Tree/Closure/Bytecode exercises the
-   rotated schedule through all three semantics. The unpipelined plan
+   running the pipelined plan on Tree/Bytecode exercises the
+   rotated schedule through both semantics. The unpipelined plan
    doubles as the tree-walk baseline: a 1-stage lowering leaves the
    kernel untouched, so its Tree run IS the reference interpreter on the
    original kernel. *)
@@ -158,7 +158,7 @@ let check_identity ?(domains = 1) ~expect_pipelined name arch mk =
     let counters = Interp.run_plan ~domains ~engine plan ~args () in
     (args, counters)
   in
-  let engines = [ Interp.Tree; Interp.Closure; Interp.Bytecode ] in
+  let engines = [ Interp.Tree; Interp.Bytecode ] in
   let uplan = Pipeline.lower ~stages:1 arch kernel in
   check_int (name ^ ": unpipelined pl_stages") 1
     uplan.Plan.pipelining.Plan.pl_stages;
@@ -197,7 +197,7 @@ let check_identity ?(domains = 1) ~expect_pipelined name arch mk =
           check_buffers tag uargs eargs)
         ubase runs;
       (* Across engines the request counters differ by design (the Tree
-         engine skips the plan-level vectorize widening), but the three
+         engine skips the plan-level vectorize widening), but the two
          engines must agree on the widening-independent set AND on the
          queue counters the pipeline legitimately moved. *)
       match runs with
