@@ -588,30 +588,7 @@ let emit_tune_bench ?(quick = false) () =
       (List.length outcomes)
   end
 
-(* [--engine E]: [Some (Some e)] for a value, [Some None] when the flag
-   ends the command line. *)
-let rec engine_flag = function
-  | [] -> None
-  | [ "--engine" ] -> Some None
-  | "--engine" :: e :: _ -> Some (Some e)
-  | _ :: tl -> engine_flag tl
-
 let () =
-  (* `--engine tree|bytecode` sets the default executor for every run
-     that does not pin one (the serve engine's shards, the profile
-     reports, the search's proxies). The sim rows pin their engines
-     explicitly. *)
-  (match engine_flag (Array.to_list Sys.argv) with
-  | None -> ()
-  | Some e -> (
-    match Option.bind e Gpu_sim.Interp.engine_of_string with
-    | Some _ -> Unix.putenv "GRAPHENE_SIM_ENGINE" (Option.get e)
-    | None ->
-      Format.eprintf "%s (expected tree or bytecode)@."
-        (match e with
-        | Some e -> Printf.sprintf "unknown --engine %S" e
-        | None -> "--engine needs a value");
-      exit 2));
   if Array.mem "--serve-only" Sys.argv then
     emit_serve_bench ~quick:(Array.mem "--quick" Sys.argv) ()
   else if Array.mem "--tune-only" Sys.argv then

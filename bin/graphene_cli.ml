@@ -229,8 +229,7 @@ let lower_cmd =
           ~doc:
             "Disable the vectorize pass's widening (every atomic stays \
              scalar); the legality verdicts and bank-conflict lint are \
-             still computed and printed. Equivalent to setting \
-             \\$GRAPHENE_NO_VECTORIZE.")
+             still computed and printed.")
   in
   let stages =
     Arg.(
@@ -254,29 +253,26 @@ let lower_cmd =
         kernel
     in
     if plan_only then print_endline (Lower.Plan.to_string plan);
-    let launch, block, loop, thread =
-      Lower.Plan.tier_counts plan.Lower.Plan.body
-    in
+    let bc = plan.Lower.Plan.body in
+    let launch, block, loop, thread = Lower.Plan.tier_counts bc in
     Format.printf
       "lowered %s for %s: %d op(s), %d atomic(s), %d env slot(s), %d \
        alloc(s)@.view dependence tiers: %d launch, %d block, %d loop, %d \
        thread@."
       kernel.Graphene.Spec.name (Arch.name arch)
-      (Lower.Plan.count_ops plan.Lower.Plan.body)
-      (Lower.Plan.count_atomics plan.Lower.Plan.body)
+      (Lower.Bytecode.instruction_count bc)
+      (Array.length bc.Lower.Plan.bc_atomics)
       plan.Lower.Plan.nslots
       (List.length plan.Lower.Plan.allocs)
       launch block loop thread;
-    let widened, moves = Lower.Plan.vec_counts plan.Lower.Plan.body in
+    let widened, moves = Lower.Plan.vec_counts bc in
     Format.printf "vectorize%s: %d of %d per-thread move(s) widened"
       (if plan.Lower.Plan.vec_enabled then "" else " (disabled)")
       widened moves;
-    (match Lower.Plan.global_vec_width plan.Lower.Plan.body with
+    (match Lower.Plan.global_vec_width bc with
     | Some w -> Format.printf ", mean global width %.2f@." w
     | None -> Format.printf "@.");
-    let flagged, cycles =
-      Lower.Plan.bank_warning_counts plan.Lower.Plan.body
-    in
+    let flagged, cycles = Lower.Plan.bank_warning_counts bc in
     if flagged > 0 then
       Format.printf
         "bank-conflict lint: %d atomic(s) flagged, +%d conflict \
@@ -295,20 +291,19 @@ let lower_cmd =
                pl.Lower.Plan.pl_buffers))
      else Format.printf "pipelining: %s@." pl.Lower.Plan.pl_note);
     Format.printf "%s@."
-      (Lower.Bytecode.summary ~cta_size:plan.Lower.Plan.cta_size
-         (Lower.Bytecode.get plan))
+      (Lower.Bytecode.summary ~cta_size:plan.Lower.Plan.cta_size bc)
   in
   Cmd.v
     (Cmd.info "lower"
        ~doc:
-         "Run the lowering pipeline (validate, flatten, resolve, depcheck, \
-          vectorize, swpipe, compile, bytecode) on a kernel, printing the \
-          IR after every pass, the compiled execution plan — with each \
-          view's dependence tier, vector width and bank-conflict lint — \
-          the software-pipelining verdict (stages chosen, shared bytes per \
-          stage, queue-depth bound, or the per-loop refusal reasons) and \
-          the flattened bytecode (instruction histogram, scratch-arena \
-          size, dependence tiers). See docs/LOWERING.md.")
+         "Run the seven-pass lowering pipeline (validate, flatten, \
+          resolve, depcheck, vectorize, swpipe, compile) on a kernel, \
+          printing the IR after every pass, the compiled execution plan — \
+          with each view's dependence tier, vector width and bank-conflict \
+          lint — the software-pipelining verdict (stages chosen, shared \
+          bytes per stage, queue-depth bound, or the per-loop refusal \
+          reasons) and the plan's bytecode (instruction histogram, \
+          scratch-arena size, dependence tiers). See docs/LOWERING.md.")
     Term.(
       const run $ arch_arg $ kernel_arg $ plan_only $ no_vectorize $ stages)
 
@@ -340,8 +335,8 @@ let engine_arg =
           "Plan execution engine: $(b,bytecode) (the flattened \
            instruction-array executor) or $(b,tree) (symbolic \
            re-interpretation of the kernel, the reference semantics). \
-           Default: \\$GRAPHENE_SIM_ENGINE, else bytecode. Both produce \
-           bit-identical results; see docs/LOWERING.md.")
+           Default: bytecode. Both produce bit-identical results; see \
+           docs/LOWERING.md.")
 
 let simulate_cmd =
   let check_domains =
@@ -691,14 +686,7 @@ let serve_cmd =
       & info [ "o"; "output" ] ~docv:"FILE"
           ~doc:"Where to write the graphene.serve_bench.v2 JSON report.")
   in
-  let run seed requests rate tick cell_cap batch_cap quick out domains engine =
-    (* Serve.Engine executes through [Interp.default_plan_engine]; route
-       the flag through the environment variable it reads so the whole
-       run — and the recorded [config.exec_engine] — agree. *)
-    Option.iter
-      (fun e ->
-        Unix.putenv "GRAPHENE_SIM_ENGINE" (Gpu_sim.Interp.engine_name e))
-      engine;
+  let run seed requests rate tick cell_cap batch_cap quick out domains =
     let params =
       { Serve.Traffic.default with
         Serve.Traffic.seed
@@ -738,7 +726,7 @@ let serve_cmd =
           docs/SERVING.md.")
     Term.(
       const run $ seed $ requests $ rate $ tick $ cell_cap $ batch_cap
-      $ quick $ out $ domains_arg $ engine_arg)
+      $ quick $ out $ domains_arg)
 
 let layout_cmd =
   (* A self-checking walkthrough of the CuTe layout algebra

@@ -550,7 +550,7 @@ let run_tree ~arch ?profiler ?domains (k : Spec.kernel) ~args ?(scalars = []) ()
 
 (* ===== the plan executor =====
 
-   Runs a [Lower.Plan.t] in its flattened form (Lower.Bytecode): atomic
+   Runs a [Lower.Plan.t]'s bytecode body (Lower.Bytecode): atomic
    resolution already happened (once, at lowering), loop bounds /
    predicates / view offsets are closures over one dense slot array, all
    profiler attribution strings and costs are precomputed, and control
@@ -746,10 +746,11 @@ let is_scalar_fma (a : P.atomic) sem =
   | [ x; y ], [ z ] -> one x && one y && one z
   | _ -> false
 
-(* Build the per-domain executor state: walk the plan once to size and
-   seat the caches, then seat the per-atomic closures (they capture the
-   state record itself, hence the two-phase construction). *)
+(* Build the per-domain executor state: seat the caches from the plan's
+   atomics, then the per-atomic closures (they capture the state record
+   itself, hence the two-phase construction). *)
 let make_pctx ctx (plan : P.t) (env : int array) =
+  let bc = plan.P.body in
   let vcaches =
     Array.make plan.P.n_views { vc_valid = false; vc_snap = [||]; vc_offs = [||] }
   in
@@ -757,36 +758,32 @@ let make_pctx ctx (plan : P.t) (env : int array) =
     Array.make plan.P.n_views { tc_valid = false; tc_snap = [||]; tc_offs = [||] }
   in
   let nwords = WM.nwords ~cta_size:plan.P.cta_size in
-  let gcaches =
-    Array.make plan.P.n_atomics
-      { gc_valid = false; gc_snap = [||]; gc_mask = [||]; gc_groups = [||] }
+  let seat (pv : P.view) =
+    if pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread then
+      tcaches.(pv.P.v_id) <-
+        { tc_valid = false
+        ; tc_snap = Array.make (Array.length pv.P.v_dep_slots) Slots.unbound
+        ; tc_offs = Array.make plan.P.cta_size [||]
+        }
+    else
+      vcaches.(pv.P.v_id) <-
+        { vc_valid = false
+        ; vc_snap = Array.make (Array.length pv.P.v_dep_slots) Slots.unbound
+        ; vc_offs = [||]
+        }
   in
-  P.iter_atomics
-    (fun a ->
-      let seat (pv : P.view) =
-        if pv.P.v_dep.Depcheck.d_tier = Depcheck.Thread then
-          tcaches.(pv.P.v_id) <-
-            { tc_valid = false
-            ; tc_snap = Array.make (Array.length pv.P.v_dep_slots) Slots.unbound
-            ; tc_offs = Array.make plan.P.cta_size [||]
-            }
-        else
-          vcaches.(pv.P.v_id) <-
-            { vc_valid = false
-            ; vc_snap = Array.make (Array.length pv.P.v_dep_slots) Slots.unbound
-            ; vc_offs = [||]
-            }
-      in
-      List.iter seat a.P.a_ins;
-      List.iter seat a.P.a_outs;
-      gcaches.(a.P.a_id) <-
+  let gcaches =
+    Array.map
+      (fun (a : P.atomic) ->
+        List.iter seat a.P.a_ins;
+        List.iter seat a.P.a_outs;
         { gc_valid = false
         ; gc_snap = Array.make (Array.length a.P.a_members_slots) Slots.unbound
         ; gc_mask = Array.make nwords 0
         ; gc_groups = [||]
         })
-    plan.P.body;
-  let bc = Lower.Bytecode.get plan in
+      bc.P.bc_atomics
+  in
   let sem =
     Array.map
       (fun (a : P.atomic) ->
@@ -822,13 +819,8 @@ let make_pctx ctx (plan : P.t) (env : int array) =
     ; bc_scalar_fma = Array.map2 is_scalar_fma bc.P.bc_atomics sem
     }
   in
-  px.a_envf <- Array.make plan.P.n_atomics (fun _ -> 0);
-  px.a_offs <- Array.make plan.P.n_atomics (fun _ _ -> [||]);
-  P.iter_atomics
-    (fun a ->
-      px.a_envf.(a.P.a_id) <- plan_env_fun a env;
-      px.a_offs.(a.P.a_id) <- plan_offsets_px px a)
-    plan.P.body;
+  px.a_envf <- Array.map (fun a -> plan_env_fun a env) bc.P.bc_atomics;
+  px.a_offs <- Array.map (plan_offsets_px px) bc.P.bc_atomics;
   px
 
 (* One warp's address batch for one view: first scalar byte address per
@@ -1305,14 +1297,7 @@ let engine_of_string s =
   | "bytecode" -> Some Bytecode
   | _ -> None
 
-let default_plan_engine () =
-  match Sys.getenv_opt "GRAPHENE_SIM_ENGINE" with
-  | None -> Bytecode
-  | Some s -> (
-    match engine_of_string s with
-    | Some e -> e
-    | None ->
-      error "invalid GRAPHENE_SIM_ENGINE %S (expected tree or bytecode)" s)
+let default_plan_engine () = Bytecode
 
 let run_plan ?profiler ?domains ?engine (plan : P.t) ~args ?(scalars = []) () =
   let engine =

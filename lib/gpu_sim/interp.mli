@@ -15,9 +15,8 @@
       which is also what makes multi-domain execution profitable (OCaml 5
       minor collections stop every domain).
 
-    {!run_plan} selects between the engines ([?engine], falling back to
-    [GRAPHENE_SIM_ENGINE], then [Bytecode]); {!run} is the
-    lower-then-execute convenience wrapper.
+    {!run_plan} selects between the engines ([?engine], default
+    [Bytecode]); {!run} is the lower-then-execute convenience wrapper.
 
     All threads of a block advance in lock step; thread-dependent [If]
     conditions split the active mask (divergence); undecomposed specs
@@ -79,14 +78,12 @@ val engine_name : engine -> string
 (** Case-insensitive parse of ["tree" | "bytecode"]. *)
 val engine_of_string : string -> engine option
 
-(** The engine used when [?engine] is not given: [GRAPHENE_SIM_ENGINE]
-    when set (raising {!Exec_error} on an unrecognized value), otherwise
-    [Bytecode]. *)
+(** The engine used when [?engine] is not given: [Bytecode]. *)
 val default_plan_engine : unit -> engine
 
 (** [run_plan plan ~args ~scalars] executes a compiled plan (see
     {!Lower.Pipeline.lower}). Same contract and error behavior as
-    {!run_tree}; lowering-time diagnoses ([Lower.Plan.Fail] ops) raise
+    {!run_tree}; lowering-time diagnoses ([fail] instructions) raise
     {!Exec_error} only if control flow reaches them. Lower once, then
     call this for every execution (autotuning, repeated benchmark
     runs). [engine] defaults to {!default_plan_engine}. *)

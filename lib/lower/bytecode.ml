@@ -1,15 +1,11 @@
-(* The flatten-to-bytecode stage: Plan.op tree -> one dense int array.
+(* The plan body's instruction format and its builder.
 
-   The compiled-plan op tree is already closure-compiled, but executing
-   it still walks a boxed tree — every [List.iter] over a loop body
-   allocates a partial application per iteration, and every op dispatch
-   chases a constructor. Flattening turns the body into a flat
-   instruction array with integer operands: opcodes and operands are
-   unboxed ints, structured ops carry their body length in code words
-   (so a body is a [pc, pc+len) range, not a list), and every closure
-   the executor still needs (loop bounds, branch predicates) sits in a
-   dense side pool indexed by operand. The executor (Gpu_sim.Interp)
-   then runs a tight tail-recursive [match] over the array.
+   The compile pass emits a plan's body straight into this form: opcodes
+   and operands are unboxed ints, structured ops carry their body length
+   in code words (so a body is a [pc, pc+len) range, not a list), and
+   every closure the executor still needs (loop bounds, branch
+   predicates) sits in a dense side pool indexed by operand. The executor
+   (Gpu_sim.Interp) runs a tight tail-recursive [match] over the array.
 
    Instruction layout (word offsets from the opcode):
 
@@ -30,190 +26,137 @@
    branch: the executor keeps one preallocated taken/not-taken mask pair
    per level, so divergence costs zero allocation at run time. An empty
    else-branch has [else_len = 0] (every op emits at least one word), so
-   the executor can preserve the op tree's "skip else only when the else
-   body is empty" semantics without a separate flag. *)
+   "skip the else only when its body is empty" needs no separate flag. *)
 
 module P = Plan
 
-let op_exec = 0
-let op_loop = 1
-let op_branch = 2
-let op_branch_div = 3
-let op_barrier = 4
-let op_frame = 5
-let op_fail = 6
-let op_commit = 7
-let op_wait = 8
+let op_exec = P.op_exec
+let op_loop = P.op_loop
+let op_branch = P.op_branch
+let op_branch_div = P.op_branch_div
+let op_barrier = P.op_barrier
+let op_frame = P.op_frame
+let op_fail = P.op_fail
+let op_commit = P.op_commit
+let op_wait = P.op_wait
 
 (* ----- builder ----- *)
+
+(* A side pool under construction: [add] returns the item's index. *)
+type 'a pool =
+  { mutable items : 'a list  (* reversed *)
+  ; mutable n : int
+  }
+
+let pool () = { items = []; n = 0 }
+
+let add p x =
+  p.items <- x :: p.items;
+  p.n <- p.n + 1;
+  p.n - 1
+
+let to_array p = Array.of_list (List.rev p.items)
 
 type builder =
   { mutable code : int array
   ; mutable len : int
-  ; mutable exprs : Expr_comp.cexpr list  (* reversed *)
-  ; mutable n_exprs : int
-  ; mutable conds : (int array -> bool) list  (* reversed *)
-  ; mutable n_conds : int
-  ; mutable labels : string list  (* reversed *)
-  ; mutable n_labels : int
-  ; mutable fails : string list  (* reversed *)
-  ; mutable n_fails : int
+  ; atomics : P.atomic pool
+  ; exprs : Expr_comp.cexpr pool
+  ; conds : (int array -> bool) pool
+  ; labels : string pool
+  ; fails : string pool
+  ; mutable depth : int  (* divergent branches enclosing the emit point *)
   ; mutable max_depth : int
+  }
+
+let builder () =
+  { code = Array.make 64 0
+  ; len = 0
+  ; atomics = pool ()
+  ; exprs = pool ()
+  ; conds = pool ()
+  ; labels = pool ()
+  ; fails = pool ()
+  ; depth = 0
+  ; max_depth = 0
   }
 
 let push b x =
   if b.len = Array.length b.code then begin
-    let code = Array.make (max 64 (2 * b.len)) 0 in
+    let code = Array.make (2 * b.len) 0 in
     Array.blit b.code 0 code 0 b.len;
     b.code <- code
   end;
   b.code.(b.len) <- x;
   b.len <- b.len + 1
 
-(* Reserve a length operand to be patched once the body is emitted. *)
-let reserve b =
+(* Emit a body behind a reserved length operand, then patch the length. *)
+let body b emit =
   let at = b.len in
   push b 0;
-  at
+  emit ();
+  b.code.(at) <- b.len - at - 1
 
-let add_expr b e =
-  b.exprs <- e :: b.exprs;
-  b.n_exprs <- b.n_exprs + 1;
-  b.n_exprs - 1
+let exec b (a : P.atomic) =
+  if a.P.a_id <> b.atomics.n then
+    invalid_arg "Bytecode.exec: atomics must be emitted in a_id order";
+  push b op_exec;
+  push b (add b.atomics a)
 
-let add_cond b c =
-  b.conds <- c :: b.conds;
-  b.n_conds <- b.n_conds + 1;
-  b.n_conds - 1
+let loop b ~var ~slot ~lo ~hi ~step emit_body =
+  push b op_loop;
+  push b slot;
+  push b (add b.exprs lo);
+  push b (add b.exprs hi);
+  push b (add b.exprs step);
+  push b (add b.labels var);
+  body b emit_body
 
-let add_label b l =
-  b.labels <- l :: b.labels;
-  b.n_labels <- b.n_labels + 1;
-  b.n_labels - 1
+let branch b ~divergent cond ~then_ ~else_ =
+  push b (if divergent then op_branch_div else op_branch);
+  push b (add b.conds cond);
+  if divergent then begin
+    push b b.depth;
+    b.depth <- b.depth + 1;
+    b.max_depth <- max b.max_depth b.depth
+  end;
+  (* Both length operands precede both bodies. *)
+  let t_at = b.len in
+  push b 0;
+  push b 0;
+  let t0 = b.len in
+  then_ ();
+  b.code.(t_at) <- b.len - t0;
+  let e0 = b.len in
+  else_ ();
+  b.code.(t_at + 1) <- b.len - e0;
+  if divergent then b.depth <- b.depth - 1
 
-let add_fail b m =
-  b.fails <- m :: b.fails;
-  b.n_fails <- b.n_fails + 1;
-  b.n_fails - 1
+let barrier b = push b op_barrier
+let commit b = push b op_commit
 
-let rec emit_ops b depth ops = List.iter (emit_op b depth) ops
+let wait b n =
+  push b op_wait;
+  push b n
 
-and emit_op b depth = function
-  | P.Atomic_exec a ->
-    push b op_exec;
-    push b a.P.a_id
-  | P.Loop { l_var; l_slot; l_lo; l_hi; l_step; l_body } ->
-    push b op_loop;
-    push b l_slot;
-    push b (add_expr b l_lo);
-    push b (add_expr b l_hi);
-    push b (add_expr b l_step);
-    push b (add_label b l_var);
-    let at = reserve b in
-    let start = b.len in
-    emit_ops b depth l_body;
-    b.code.(at) <- b.len - start
-  | P.Branch { b_tid_dep = false; b_cond; b_then; b_else } ->
-    push b op_branch;
-    push b (add_cond b b_cond);
-    let t_at = reserve b in
-    let e_at = reserve b in
-    let t0 = b.len in
-    emit_ops b depth b_then;
-    b.code.(t_at) <- b.len - t0;
-    let e0 = b.len in
-    emit_ops b depth b_else;
-    b.code.(e_at) <- b.len - e0
-  | P.Branch { b_tid_dep = true; b_cond; b_then; b_else } ->
-    b.max_depth <- max b.max_depth (depth + 1);
-    push b op_branch_div;
-    push b (add_cond b b_cond);
-    push b depth;
-    let t_at = reserve b in
-    let e_at = reserve b in
-    let t0 = b.len in
-    emit_ops b (depth + 1) b_then;
-    b.code.(t_at) <- b.len - t0;
-    let e0 = b.len in
-    emit_ops b (depth + 1) b_else;
-    b.code.(e_at) <- b.len - e0
-  | P.Barrier -> push b op_barrier
-  | P.Commit_group -> push b op_commit
-  | P.Wait_group n ->
-    push b op_wait;
-    push b n
-  | P.Frame { f_label; f_body } ->
-    push b op_frame;
-    push b (add_label b f_label);
-    let at = reserve b in
-    let start = b.len in
-    emit_ops b depth f_body;
-    b.code.(at) <- b.len - start
-  | P.Fail msg ->
-    push b op_fail;
-    push b (add_fail b msg)
+let frame b label emit_body =
+  push b op_frame;
+  push b (add b.labels label);
+  body b emit_body
 
-let rev_array n rev_list =
-  let a = Array.of_list rev_list in
-  let len = Array.length a in
-  assert (len = n);
-  (* The list is reversed (last added first); flip in place. *)
-  for i = 0 to (len / 2) - 1 do
-    let t = a.(i) in
-    a.(i) <- a.(len - 1 - i);
-    a.(len - 1 - i) <- t
-  done;
-  a
+let fail b msg =
+  push b op_fail;
+  push b (add b.fails msg)
 
-let of_plan (plan : P.t) : P.bytecode =
-  let atomics =
-    let acc = ref [] in
-    P.iter_atomics (fun a -> acc := a :: !acc) plan.P.body;
-    match !acc with
-    | [] -> [||]
-    | a0 :: _ ->
-      let arr = Array.make plan.P.n_atomics a0 in
-      List.iter (fun (a : P.atomic) -> arr.(a.P.a_id) <- a) !acc;
-      arr
-  in
-  let b =
-    { code = Array.make 64 0
-    ; len = 0
-    ; exprs = []
-    ; n_exprs = 0
-    ; conds = []
-    ; n_conds = 0
-    ; labels = []
-    ; n_labels = 0
-    ; fails = []
-    ; n_fails = 0
-    ; max_depth = 0
-    }
-  in
-  emit_ops b 0 plan.P.body;
+let finish b : P.bytecode =
   { P.bc_code = Array.sub b.code 0 b.len
-  ; bc_atomics = atomics
-  ; bc_exprs = rev_array b.n_exprs b.exprs
-  ; bc_conds = rev_array b.n_conds b.conds
-  ; bc_labels = rev_array b.n_labels b.labels
-  ; bc_fails = rev_array b.n_fails b.fails
+  ; bc_atomics = to_array b.atomics
+  ; bc_exprs = to_array b.exprs
+  ; bc_conds = to_array b.conds
+  ; bc_labels = to_array b.labels
+  ; bc_fails = to_array b.fails
   ; bc_max_depth = b.max_depth
   }
-
-(* Memoized accessor: the pipeline installs the bytecode eagerly, but a
-   hand-built or body-rewritten plan (tests) flattens on first demand.
-   The build is a pure function of the body, so a racing double build is
-   benign — both results are interchangeable and each caller keeps the
-   one it read. *)
-let get (plan : P.t) : P.bytecode =
-  match plan.P.bytecode with
-  | Some bc -> bc
-  | None ->
-    let bc = of_plan plan in
-    plan.P.bytecode <- Some bc;
-    bc
-
-let install (plan : P.t) = plan.P.bytecode <- Some (of_plan plan)
 
 (* ----- summaries ----- *)
 
@@ -231,30 +174,18 @@ let opcode_name = function
 
 (* Instruction count and opcode histogram over ALL instructions,
    including those nested in loop/branch/frame bodies. Bodies are
-   contiguous and immediately followed by the next instruction, so a
-   linear decode from each op's operand end visits every instruction
-   exactly once. *)
+   contiguous and immediately follow their op's operands, so stepping
+   over each op's header alone visits every instruction exactly once. *)
 let histogram (bc : P.bytecode) =
   let counts = Array.make 9 0 in
   let code = bc.P.bc_code in
-  let rec walk pc endpc =
-    if pc < endpc then begin
-      let op = code.(pc) in
-      counts.(op) <- counts.(op) + 1;
-      match op with
-      | 0 (* exec *) -> walk (pc + 2) endpc
-      | 1 (* loop *) -> walk (pc + 7) endpc
-      | 2 (* branch *) -> walk (pc + 4) endpc
-      | 3 (* branch_div *) -> walk (pc + 5) endpc
-      | 4 (* barrier *) -> walk (pc + 1) endpc
-      | 5 (* frame *) -> walk (pc + 3) endpc
-      | 6 (* fail *) -> walk (pc + 2) endpc
-      | 7 (* commit *) -> walk (pc + 1) endpc
-      | 8 (* wait *) -> walk (pc + 2) endpc
-      | _ -> invalid_arg "Bytecode.histogram: corrupt code"
-    end
-  in
-  walk 0 (Array.length code);
+  let pc = ref 0 in
+  while !pc < Array.length code do
+    let op = code.(!pc) in
+    if op < 0 || op > 8 then invalid_arg "Bytecode.histogram: corrupt code";
+    counts.(op) <- counts.(op) + 1;
+    pc := !pc + P.header_words.(op)
+  done;
   counts
 
 let instruction_count bc = Array.fold_left ( + ) 0 (histogram bc)
@@ -266,25 +197,6 @@ let arena_bytes ~cta_size (bc : P.bytecode) =
   let nwords = (cta_size + 31) / 32 in
   2 * bc.P.bc_max_depth * nwords * 8
 
-(* The dependence-tier histogram of the flattened atomics' views —
-   the same numbers Plan.tier_counts reports for the tree, recomputed
-   from the flat side table so the listing describes the bytecode. *)
-let tier_counts (bc : P.bytecode) =
-  let launch = ref 0 and block = ref 0 and loop = ref 0 and thread = ref 0 in
-  let count (d : Depcheck.dep) =
-    match d.Depcheck.d_tier with
-    | Depcheck.Launch -> incr launch
-    | Depcheck.Block -> incr block
-    | Depcheck.Loop -> incr loop
-    | Depcheck.Thread -> incr thread
-  in
-  Array.iter
-    (fun (a : P.atomic) ->
-      List.iter (fun (v : P.view) -> count v.P.v_dep) a.P.a_ins;
-      List.iter (fun (v : P.view) -> count v.P.v_dep) a.P.a_outs)
-    bc.P.bc_atomics;
-  (!launch, !block, !loop, !thread)
-
 let summary ~cta_size (bc : P.bytecode) =
   let counts = histogram bc in
   let hist =
@@ -295,7 +207,7 @@ let summary ~cta_size (bc : P.bytecode) =
            else Some (Printf.sprintf "%s %d" (opcode_name op) counts.(op)))
          [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ])
   in
-  let l, b, lp, th = tier_counts bc in
+  let l, b, lp, th = P.tier_counts bc in
   Printf.sprintf
     "bytecode: %d instruction(s) in %d word(s); arena %d B (div depth %d); \
      %s\n\
@@ -312,53 +224,36 @@ let listing (bc : P.bytecode) =
   let code = bc.P.bc_code in
   let rec walk indent pc endpc =
     if pc < endpc then begin
-      let line fmt = Printf.ksprintf (fun s ->
-          Buffer.add_string buf (String.make (2 * indent) ' ');
-          Buffer.add_string buf s;
-          Buffer.add_char buf '\n') fmt
+      let arg k = code.(pc + k) in
+      let body = pc + P.header_words.(arg 0) in
+      let text, body_len =
+        match arg 0 with
+        | 0 ->
+          let a = bc.P.bc_atomics.(arg 1) in
+          ( Printf.sprintf "exec #%d %s" a.P.a_id
+              a.P.a_instr.Graphene.Atomic.name
+          , 0 )
+        | 1 ->
+          ( Printf.sprintf "loop %s slot=%d len=%d"
+              bc.P.bc_labels.(arg 5)
+              (arg 1) (arg 6)
+          , arg 6 )
+        | 2 ->
+          (Printf.sprintf "branch then=%d else=%d" (arg 2) (arg 3), arg 2 + arg 3)
+        | 3 ->
+          ( Printf.sprintf "branch.div depth=%d then=%d else=%d" (arg 2) (arg 3)
+              (arg 4)
+          , arg 3 + arg 4 )
+        | 4 -> ("barrier", 0)
+        | 5 ->
+          (Printf.sprintf "frame %S len=%d" bc.P.bc_labels.(arg 1) (arg 2), arg 2)
+        | 6 -> (Printf.sprintf "fail %S" bc.P.bc_fails.(arg 1), 0)
+        | 7 -> ("commit", 0)
+        | _ (* 8 *) -> (Printf.sprintf "wait %d" (arg 1), 0)
       in
-      match code.(pc) with
-      | 0 ->
-        let a = bc.P.bc_atomics.(code.(pc + 1)) in
-        line "%04d exec #%d %s" pc a.P.a_id
-          a.P.a_instr.Graphene.Atomic.name;
-        walk indent (pc + 2) endpc
-      | 1 ->
-        let len = code.(pc + 6) in
-        line "%04d loop %s slot=%d len=%d" pc
-          bc.P.bc_labels.(code.(pc + 5))
-          code.(pc + 1) len;
-        walk (indent + 1) (pc + 7) (pc + 7 + len);
-        walk indent (pc + 7 + len) endpc
-      | 2 ->
-        let tlen = code.(pc + 2) and elen = code.(pc + 3) in
-        line "%04d branch then=%d else=%d" pc tlen elen;
-        walk (indent + 1) (pc + 4) (pc + 4 + tlen + elen);
-        walk indent (pc + 4 + tlen + elen) endpc
-      | 3 ->
-        let tlen = code.(pc + 3) and elen = code.(pc + 4) in
-        line "%04d branch.div depth=%d then=%d else=%d" pc code.(pc + 2) tlen
-          elen;
-        walk (indent + 1) (pc + 5) (pc + 5 + tlen + elen);
-        walk indent (pc + 5 + tlen + elen) endpc
-      | 4 ->
-        line "%04d barrier" pc;
-        walk indent (pc + 1) endpc
-      | 5 ->
-        let len = code.(pc + 2) in
-        line "%04d frame %S len=%d" pc bc.P.bc_labels.(code.(pc + 1)) len;
-        walk (indent + 1) (pc + 3) (pc + 3 + len);
-        walk indent (pc + 3 + len) endpc
-      | 6 ->
-        line "%04d fail %S" pc bc.P.bc_fails.(code.(pc + 1));
-        walk indent (pc + 2) endpc
-      | 7 ->
-        line "%04d commit" pc;
-        walk indent (pc + 1) endpc
-      | 8 ->
-        line "%04d wait %d" pc code.(pc + 1);
-        walk indent (pc + 2) endpc
-      | _ -> invalid_arg "Bytecode.listing: corrupt code"
+      Printf.bprintf buf "%s%04d %s\n" (String.make (2 * indent) ' ') pc text;
+      walk (indent + 1) body (body + body_len);
+      walk indent (body + body_len) endpc
     end
   in
   walk 0 0 (Array.length code);

@@ -1,8 +1,7 @@
-(** The flatten-to-bytecode stage: {!Plan.op} tree -> one dense
-    int-tagged instruction array ({!Plan.bytecode}), the form
-    [Gpu_sim.Interp]'s fast executor dispatches over. Runs as the final
-    pipeline stage after [compile] (see docs/LOWERING.md, "The bytecode
-    pass").
+(** A plan body's instruction format ({!Plan.bytecode}) and the builder
+    the compile pass emits it through — the one form
+    [Gpu_sim.Interp]'s executor dispatches over (see docs/LOWERING.md,
+    "The bytecode form").
 
     Instruction layout (word offsets after the opcode; body lengths in
     code words, so bodies are [pc, pc+len) ranges):
@@ -38,17 +37,51 @@ val op_commit : int
 
 val op_wait : int
 
-(** Flatten a plan's body. Pure: does not touch [plan.bytecode]. *)
-val of_plan : Plan.t -> Plan.bytecode
+(** {1 Builder}
 
-(** The memoized bytecode of a plan: returns [plan.bytecode] if
-    installed, otherwise builds, installs and returns it. The build is a
-    pure function of the body, so the benign race between domains is
-    harmless — both build the same code. *)
-val get : Plan.t -> Plan.bytecode
+    The compile pass emits a plan body in program order. Structured ops
+    take their body as an emitting thunk; the builder patches the body
+    length once the thunk returns and tracks divergent-branch nesting
+    itself. *)
 
-(** Build and install (the pipeline's bytecode stage). *)
-val install : Plan.t -> unit
+type builder
+
+val builder : unit -> builder
+
+(** Emit an [exec]. Atomics must arrive in [a_id] order (0, 1, ...), so
+    [bc_atomics] is indexed by id and ordered as the code. *)
+val exec : builder -> Plan.atomic -> unit
+
+val loop :
+  builder ->
+  var:string ->
+  slot:int ->
+  lo:Expr_comp.cexpr ->
+  hi:Expr_comp.cexpr ->
+  step:Expr_comp.cexpr ->
+  (unit -> unit) ->
+  unit
+
+(** [branch b ~divergent cond ~then_ ~else_]; a [divergent] (thread-
+    dependent) branch gets the next mask-arena depth. *)
+val branch :
+  builder ->
+  divergent:bool ->
+  (int array -> bool) ->
+  then_:(unit -> unit) ->
+  else_:(unit -> unit) ->
+  unit
+
+val barrier : builder -> unit
+val commit : builder -> unit
+val wait : builder -> int -> unit
+val frame : builder -> string -> (unit -> unit) -> unit
+
+(** A lowering-time diagnosis that raises only if executed. *)
+val fail : builder -> string -> unit
+
+(** The finished body. *)
+val finish : builder -> Plan.bytecode
 
 (** {1 Summaries} (the [graphene lower] listing) *)
 
@@ -62,10 +95,6 @@ val instruction_count : Plan.bytecode -> int
 (** Bytes of run-time scratch the executor preallocates for this
     bytecode: the divergence mask arena, [2 * max_depth * warps * 8]. *)
 val arena_bytes : cta_size:int -> Plan.bytecode -> int
-
-(** View dependence tiers of the flattened atomics:
-    [(launch, block, loop, thread)]. *)
-val tier_counts : Plan.bytecode -> int * int * int * int
 
 (** One-paragraph summary: instruction count, code words, arena bytes,
     opcode histogram, tier histogram. *)

@@ -1,4 +1,4 @@
-(* The lowering pipeline: Spec.kernel -> Plan.t, in five named passes.
+(* The lowering pipeline: Spec.kernel -> Plan.t, in seven named passes.
 
      validate   advisory structural diagnostics (shapes, allocations)
      flatten    decomposition tree -> flat statement list (allocs and
@@ -15,13 +15,14 @@
                 eligible per-thread moves widen to v2/v4 vector atomics,
                 near-misses carry the refusal reason; fully-static
                 shared views get the bank-conflict lint
+     swpipe     software-pipeline async staging loops (rotating shared
+                buffers); a rewrite re-runs flatten..vectorize
      compile    expressions, predicates, view offsets and thread
                 arrangements compiled to closures over the slot array,
                 carrying the depcheck tiers and vector widths as plan
-                annotations
-     bytecode   the compiled op tree flattened to a dense int-tagged
-                instruction array (see Bytecode) — the form the fast
-                executor dispatches over
+                annotations, and the body emitted straight into the
+                dense int-tagged instruction array the executor
+                dispatches over (see Bytecode)
 
    Atomic matching (Validate.check_atomics) is deliberately NOT part of
    the validate pass: the resolve pass subsumes it, and running it would
@@ -90,16 +91,25 @@ and pp_fbody pp_leaf fmt stmts =
 let render_fstmts pp_leaf stmts =
   Format.asprintf "@[<v>%a@]" (pp_fbody pp_leaf) stmts
 
-let rec map_leaves f = function
-  | F_leaf l -> f l
-  | F_loop r -> F_loop { r with body = List.map (map_leaves f) r.body }
-  | F_branch (p, t, e) ->
-    F_branch (p, List.map (map_leaves f) t, List.map (map_leaves f) e)
-  | F_barrier -> F_barrier
-  | F_commit_group -> F_commit_group
-  | F_wait_group n -> F_wait_group n
-  | F_frame (lbl, body) -> F_frame (lbl, List.map (map_leaves f) body)
-  | F_fail m -> F_fail m
+(* Rewrite every leaf [l] to [f ctx l], where [ctx] starts at [ctx0] and
+   is extended by [loop var] on entry to a loop body and by [branch pred]
+   on entry to a branch's arms; frames are transparent. Leaves are visited
+   in program order. *)
+let map_leaves ?(loop = fun _ c -> c) ?(branch = fun _ c -> c) f ctx0 stmts =
+  let rec go ctx = function
+    | F_leaf l -> f ctx l
+    | F_loop r ->
+      F_loop { r with body = List.map (go (loop r.var ctx)) r.body }
+    | F_branch (p, t, e) ->
+      let c = branch p ctx in
+      F_branch (p, List.map (go c) t, List.map (go c) e)
+    | F_barrier -> F_barrier
+    | F_commit_group -> F_commit_group
+    | F_wait_group n -> F_wait_group n
+    | F_frame (lbl, body) -> F_frame (lbl, List.map (go ctx) body)
+    | F_fail m -> F_fail m
+  in
+  List.map (go ctx0) stmts
 
 (* ----- pass 1: validate ----- *)
 
@@ -199,36 +209,27 @@ let resolve_pass arch =
     ~render:
       (render_fstmts (fun fmt ((s : Spec.t), (i : Atomic.instr)) ->
            Format.fprintf fmt "%a@,  -> %s" Spec.pp s i.Atomic.name))
-    (fun stmts ->
-      List.map
-        (map_leaves (fun (s : Spec.t) ->
-             match Atomic.find arch s with
-             | Some instr -> F_leaf (s, instr)
-             | None -> F_fail (unmatched_message arch s)))
-        stmts)
+    (map_leaves
+       (fun () (s : Spec.t) ->
+         match Atomic.find arch s with
+         | Some instr -> F_leaf (s, instr)
+         | None -> F_fail (unmatched_message arch s))
+       ())
 
 (* ----- pass 4: depcheck ----- *)
 
 (* Annotate every resolved leaf with the slot-dependence footprint of its
-   views and (for collectives) its member function. The recursion carries
-   the enclosing loop binders innermost-first; a shadowing binder simply
+   views and (for collectives) its member function. The context is the
+   enclosing loop binders innermost-first; a shadowing binder simply
    appears twice and the compile pass resolves each name to its innermost
    slot, matching the closures it builds. *)
-let rec depcheck_stmts loops stmts = List.map (depcheck_stmt loops) stmts
-
-and depcheck_stmt loops = function
-  | F_leaf ((s : Spec.t), (instr : Atomic.instr)) ->
-    let per_thread = instr.Atomic.threads = 1 in
-    F_leaf (s, instr, Depcheck.of_leaf ~loops s ~per_thread)
-  | F_loop { var; lo; hi; step; body } ->
-    F_loop { var; lo; hi; step; body = depcheck_stmts (var :: loops) body }
-  | F_branch (p, then_, else_) ->
-    F_branch (p, depcheck_stmts loops then_, depcheck_stmts loops else_)
-  | F_barrier -> F_barrier
-  | F_commit_group -> F_commit_group
-  | F_wait_group n -> F_wait_group n
-  | F_frame (label, body) -> F_frame (label, depcheck_stmts loops body)
-  | F_fail msg -> F_fail msg
+let depcheck_stmts =
+  map_leaves
+    ~loop:(fun var loops -> var :: loops)
+    (fun loops ((s : Spec.t), (instr : Atomic.instr)) ->
+      let per_thread = instr.Atomic.threads = 1 in
+      F_leaf (s, instr, Depcheck.of_leaf ~loops s ~per_thread))
+    []
 
 let depcheck_pass =
   Pass.make ~name:"depcheck"
@@ -245,37 +246,24 @@ let depcheck_pass =
            | Some m ->
              Format.fprintf fmt " members[%s]" (Depcheck.dep_to_string m)
            | None -> ()))
-    (fun stmts -> List.map (depcheck_stmt []) stmts)
+    depcheck_stmts
 
 (* ----- pass 5: vectorize ----- *)
 
 (* Annotate every leaf with its widening verdict and bank lint. The
-   recursion tracks whether the leaf sits under a thread-dependent branch
-   (the divergent-mask hazard the legality rules refuse); loop bodies and
+   context is whether the leaf sits under a thread-dependent branch (the
+   divergent-mask hazard the legality rules refuse); loop bodies and
    frames are transparent. The pass runs even when widening is disabled —
    the bank lint and the per-view diagnostics are wanted either way, and
    a disabled lowering records [Refused Disabled] on every atomic. *)
-let rec vectorize_stmts ~enabled ~cta_size divergent stmts =
-  List.map (vectorize_stmt ~enabled ~cta_size divergent) stmts
-
-and vectorize_stmt ~enabled ~cta_size divergent = function
-  | F_leaf ((s : Spec.t), (instr : Atomic.instr), (d : Depcheck.leaf)) ->
-    F_leaf (s, instr, d, Vectorize.of_leaf ~enabled ~divergent ~cta_size s instr)
-  | F_loop r ->
-    F_loop
-      { r with body = vectorize_stmts ~enabled ~cta_size divergent r.body }
-  | F_branch (p, then_, else_) ->
-    let dv = divergent || pred_mentions_tid p in
-    F_branch
-      ( p
-      , vectorize_stmts ~enabled ~cta_size dv then_
-      , vectorize_stmts ~enabled ~cta_size dv else_ )
-  | F_barrier -> F_barrier
-  | F_commit_group -> F_commit_group
-  | F_wait_group n -> F_wait_group n
-  | F_frame (label, body) ->
-    F_frame (label, vectorize_stmts ~enabled ~cta_size divergent body)
-  | F_fail msg -> F_fail msg
+let vectorize_stmts ~enabled ~cta_size =
+  map_leaves
+    ~branch:(fun p divergent -> divergent || pred_mentions_tid p)
+    (fun divergent
+         ((s : Spec.t), (instr : Atomic.instr), (d : Depcheck.leaf)) ->
+      F_leaf
+        (s, instr, d, Vectorize.of_leaf ~enabled ~divergent ~cta_size s instr))
+    false
 
 let vectorize_pass ~enabled ~cta_size =
   Pass.make ~name:"vectorize"
@@ -289,9 +277,9 @@ let vectorize_pass ~enabled ~cta_size =
            , (_ : Depcheck.leaf)
            , (v : Vectorize.leaf) )
          -> Format.fprintf fmt "%s: %a" i.Atomic.name Vectorize.pp_leaf v))
-    (fun stmts -> vectorize_stmts ~enabled ~cta_size false stmts)
+    (vectorize_stmts ~enabled ~cta_size)
 
-(* ----- pass 5: compile ----- *)
+(* ----- pass 7: compile ----- *)
 
 (* Coordinates of the j-th tile among an ldmatrix source's outer tiles,
    leftmost-fastest (mirrors Semantics.tile_coords, which lives above
@@ -434,38 +422,30 @@ let compile_atomic st ids scope (s : Spec.t) (instr : Atomic.instr)
   ; a_banks = vleaf.Vectorize.l_banks
   }
 
-let rec compile_ops st ids scope stmts =
-  List.map (compile_op st ids scope) stmts
+let rec compile_stmts st ids b scope stmts =
+  List.iter (compile_stmt st ids b scope) stmts
 
-and compile_op st ids scope = function
+and compile_stmt st ids b scope = function
   | F_leaf (s, instr, dleaf, vleaf) ->
-    Plan.Atomic_exec (compile_atomic st ids scope s instr dleaf vleaf)
+    Bytecode.exec b (compile_atomic st ids scope s instr dleaf vleaf)
   | F_loop { var; lo; hi; step; body } ->
-    let l_lo = Expr_comp.compile st scope lo
-    and l_hi = Expr_comp.compile st scope hi
-    and l_step = Expr_comp.compile st scope step in
+    let lo = Expr_comp.compile st scope lo
+    and hi = Expr_comp.compile st scope hi
+    and step = Expr_comp.compile st scope step in
     let slot = Slots.fresh_loop st in
-    Plan.Loop
-      { l_var = var
-      ; l_slot = slot
-      ; l_lo
-      ; l_hi
-      ; l_step
-      ; l_body = compile_ops st ids ((var, slot) :: scope) body
-      }
+    Bytecode.loop b ~var ~slot ~lo ~hi ~step (fun () ->
+        compile_stmts st ids b ((var, slot) :: scope) body)
   | F_branch (p, then_, else_) ->
-    Plan.Branch
-      { b_tid_dep = pred_mentions_tid p
-      ; b_cond = Expr_comp.compile_pred st scope p
-      ; b_then = compile_ops st ids scope then_
-      ; b_else = compile_ops st ids scope else_
-      }
-  | F_barrier -> Plan.Barrier
-  | F_commit_group -> Plan.Commit_group
-  | F_wait_group n -> Plan.Wait_group n
+    let cond = Expr_comp.compile_pred st scope p in
+    Bytecode.branch b ~divergent:(pred_mentions_tid p) cond
+      ~then_:(fun () -> compile_stmts st ids b scope then_)
+      ~else_:(fun () -> compile_stmts st ids b scope else_)
+  | F_barrier -> Bytecode.barrier b
+  | F_commit_group -> Bytecode.commit b
+  | F_wait_group n -> Bytecode.wait b n
   | F_frame (label, body) ->
-    Plan.Frame { f_label = label; f_body = compile_ops st ids scope body }
-  | F_fail msg -> Plan.Fail msg
+    Bytecode.frame b label (fun () -> compile_stmts st ids b scope body)
+  | F_fail msg -> Bytecode.fail b msg
 
 (* Shared allocations are rounded up to the swizzle window (mirrors the
    tree interpreter's allocation sizing). *)
@@ -477,7 +457,11 @@ let shared_alloc_size (t : Ts.t) =
 let compile_pass ~vec_enabled ~pipelining arch diagnostics =
   Pass.make ~name:"compile"
     ~doc:"expressions, predicates and view offsets to closures"
-    ~render:Plan.to_string
+    ~render:(fun (plan : Plan.t) ->
+      Plan.to_string plan ^ "\n\n"
+      ^ Bytecode.summary ~cta_size:plan.Plan.cta_size plan.Plan.body
+      ^ "\n"
+      ^ Bytecode.listing plan.Plan.body)
     (fun (k, resolved) ->
       let st = Slots.create () in
       (* Pre-register declared scalar parameters so they keep stable
@@ -486,7 +470,9 @@ let compile_pass ~vec_enabled ~pipelining arch diagnostics =
         (fun p -> ignore (Slots.scalar_slot st p))
         k.Spec.scalar_params;
       let ids = { next_view = 0; next_atomic = 0 } in
-      let body = compile_ops st ids Slots.base_scope resolved in
+      let b = Bytecode.builder () in
+      compile_stmts st ids b Slots.base_scope resolved;
+      let body = Bytecode.finish b in
       let allocs =
         List.map
           (fun (t : Ts.t) ->
@@ -519,35 +505,13 @@ let compile_pass ~vec_enabled ~pipelining arch diagnostics =
       ; allocs
       ; body
       ; n_views = ids.next_view
-      ; n_atomics = ids.next_atomic
       ; warp_tids
       ; diagnostics
       ; vec_enabled
       ; pipelining
-      ; bytecode = None
       })
 
-(* ----- pass 7: flatten to bytecode ----- *)
-
-let bytecode_pass =
-  Pass.make ~name:"bytecode"
-    ~doc:"flatten the op tree to a dense int-tagged instruction array"
-    ~render:(fun (plan : Plan.t) ->
-      match plan.Plan.bytecode with
-      | Some bc ->
-        Bytecode.summary ~cta_size:plan.Plan.cta_size bc
-        ^ "\n" ^ Bytecode.listing bc
-      | None -> "(no bytecode)")
-    (fun (plan : Plan.t) ->
-      Bytecode.install plan;
-      plan)
-
 (* ----- driver ----- *)
-
-(* Widening defaults on; GRAPHENE_NO_VECTORIZE=1 (any value) forces every
-   lowering scalar, and the [?vectorize] parameter overrides both — the
-   bit-identity tests lower the same kernel both ways in one process. *)
-let vectorize_default () = Option.is_none (Sys.getenv_opt "GRAPHENE_NO_VECTORIZE")
 
 (* Software pipelining defaults off (1 stage); GRAPHENE_SWPIPE_STAGES=N
    turns it on process-wide, and the [?stages] parameter overrides —
@@ -583,9 +547,7 @@ let pipelining_of_verdict (v : Swpipe.verdict) : Plan.pipelining =
     }
 
 let lower ?log ?vectorize ?stages arch (k : Spec.kernel) : Plan.t =
-  let vec_enabled =
-    match vectorize with Some b -> b | None -> vectorize_default ()
-  in
+  let vec_enabled = Option.value vectorize ~default:true in
   let stages =
     match stages with Some n -> max 1 n | None -> stages_default ()
   in
@@ -625,12 +587,9 @@ let lower ?log ?vectorize ?stages arch (k : Spec.kernel) : Plan.t =
   let k, vectorized, pipelining =
     Pass.apply ?log swpipe_pass (k, vectorized)
   in
-  let plan =
-    Pass.apply ?log
-      (compile_pass ~vec_enabled ~pipelining arch diagnostics)
-      (k, vectorized)
-  in
-  Pass.apply ?log bytecode_pass plan
+  Pass.apply ?log
+    (compile_pass ~vec_enabled ~pipelining arch diagnostics)
+    (k, vectorized)
 
 (* ----- the plan cache -----
 
@@ -679,9 +638,7 @@ let lower_cached ?log ?vectorize ?stages arch (k : Spec.kernel) :
        actually run; don't pollute the cache statistics either way. *)
     (lower ?log ?vectorize ?stages arch k, false)
   | None -> (
-    let vec_enabled =
-      match vectorize with Some b -> b | None -> vectorize_default ()
-    in
+    let vec_enabled = Option.value vectorize ~default:true in
     let stages =
       match stages with Some n -> max 1 n | None -> stages_default ()
     in

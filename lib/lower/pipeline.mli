@@ -1,6 +1,7 @@
-(** The lowering pipeline: [Spec.kernel] -> {!Plan.t} in eight named
+(** The lowering pipeline: [Spec.kernel] -> {!Plan.t} in seven named
     passes (validate, flatten, resolve, depcheck, vectorize, swpipe,
-    compile, bytecode). See docs/LOWERING.md.
+    compile); compile emits the plan's bytecode body directly. See
+    docs/LOWERING.md.
 
     The depcheck pass classifies every leaf quantity (view offset
     enumerations, collective member functions) by slot-dependence tier
@@ -14,14 +15,13 @@
     The pipeline promises to call [Atomic.find] exactly once per leaf
     spec: resolution happens at lowering, never during execution. An
     unmatched leaf (or a loop with thread-dependent bounds) lowers to a
-    {!Plan.Fail} op, so the error fires only if control flow reaches
+    [fail] instruction, so the error fires only if control flow reaches
     it — the same lazy error semantics as the tree interpreter. *)
 
 (** [lower ?log ?vectorize ?stages arch kernel] runs the full pipeline.
     When [log] is given it receives the rendered IR after every pass
     (plus the ["input"] kernel listing), in order. [vectorize] controls
-    the widening pass; it defaults to on unless the
-    [GRAPHENE_NO_VECTORIZE] environment variable is set. A disabled
+    the widening pass; it defaults to on. A disabled
     lowering still runs the pass for its diagnostics and bank lint, but
     every atomic stays scalar. [stages] controls the software-pipelining
     pass (see {!Swpipe}): it defaults to the [GRAPHENE_SWPIPE_STAGES]

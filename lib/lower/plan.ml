@@ -1,15 +1,14 @@
 (* The execution-plan IR: what a [Spec.kernel] lowers to, once, before the
    simulator runs it many times.
 
-   A plan is a flat tree of four-plus-two ops — [Loop], [Branch],
-   [Atomic_exec], [Barrier], plus [Frame] (profiler attribution for a
-   labeled decomposition) and [Fail] (a lowering-time diagnosis whose
-   error the interpreter must raise only if control flow reaches it, to
-   keep the tree path's lazy error semantics). Every symbolic quantity is
-   already compiled: loop bounds and predicates are closures, each leaf
-   spec carries its matched instruction, precomputed cost, and compiled
-   per-view offset enumerations — each annotated with its slot-dependence
-   tier (see [Depcheck]) so the executor knows what to hoist and cache. *)
+   A plan's body is one dense int-tagged instruction array (see
+   Bytecode for the layout) plus side tables: the atomics it executes,
+   the loop-bound and branch-predicate closures, and the label and lazy
+   failure pools. Every symbolic quantity is already compiled: loop
+   bounds and predicates are closures, each leaf spec carries its
+   matched instruction, precomputed cost, and compiled per-view offset
+   enumerations — each annotated with its slot-dependence tier (see
+   [Depcheck]) so the executor knows what to hoist and cache. *)
 
 module Ts = Gpu_tensor.Tensor
 module Ms = Gpu_tensor.Memspace
@@ -74,42 +73,33 @@ type atomic =
             conflict cycles per CTA-wide batch) *)
   }
 
-type op =
-  | Atomic_exec of atomic
-  | Loop of
-      { l_var : string
-      ; l_slot : int
-      ; l_lo : Expr_comp.cexpr
-      ; l_hi : Expr_comp.cexpr
-      ; l_step : Expr_comp.cexpr
-      ; l_body : op list
-      }
-  | Branch of
-      { b_tid_dep : bool
-      ; b_cond : int array -> bool
-      ; b_then : op list
-      ; b_else : op list
-      }
-  | Barrier
-  | Commit_group
-      (** seal cp.async copies issued since the last commit into one
-          in-flight group (possibly empty) on the block's queue *)
-  | Wait_group of int
-      (** drain oldest committed groups until at most [n] remain *)
-  | Frame of { f_label : string; f_body : op list }
-  | Fail of string
-
 type alloc = { al_buffer : string; al_mem : Ms.t; al_size : int }
 
-(* The flattened form of [body]: a dense int-tagged instruction array
-   plus side tables, built by [Bytecode.of_plan] (the type lives here so
-   the plan record can hold it without a module cycle). Operands are
-   indices into the side tables; structured ops carry body lengths in
-   code words, so the executor walks ranges instead of chasing
-   pointers. See Bytecode for the exact instruction layout. *)
+(* Opcodes of [bc_code] (the instruction layout is documented in
+   Bytecode, which re-exports these). *)
+let op_exec = 0
+let op_loop = 1
+let op_branch = 2
+let op_branch_div = 3
+let op_barrier = 4
+let op_frame = 5
+let op_fail = 6
+let op_commit = 7
+let op_wait = 8
+
+(* Words an instruction occupies before its body (opcode included),
+   indexed by opcode. *)
+let header_words = [| 2; 7; 4; 5; 1; 3; 2; 1; 2 |]
+
+(* The executable body: a dense int-tagged instruction array plus side
+   tables. Operands are indices into the side tables; structured ops
+   carry body lengths in code words, so the executor walks ranges
+   instead of chasing pointers. *)
 type bytecode =
   { bc_code : int array
-  ; bc_atomics : atomic array  (** indexed by [a_id] *)
+  ; bc_atomics : atomic array
+        (** indexed by [a_id]; ids are assigned in program order, so this
+            is also the order the atomics appear in [bc_code] *)
   ; bc_exprs : Expr_comp.cexpr array  (** loop bound pool *)
   ; bc_conds : (int array -> bool) array  (** branch predicate pool *)
   ; bc_labels : string array  (** loop var / frame label pool *)
@@ -150,9 +140,8 @@ type t =
   ; cta_size : int
   ; grid_size : int
   ; allocs : alloc list
-  ; body : op list
+  ; body : bytecode
   ; n_views : int  (** total view count = executor view-cache size *)
-  ; n_atomics : int  (** total atomic count = executor group-cache size *)
   ; warp_tids : int array array
         (** precompiled warp schedule: thread ids of each warp of the CTA,
             ascending — built once per plan, never per atomic *)
@@ -161,96 +150,53 @@ type t =
   ; pipelining : pipelining
         (** software-pipelining outcome (see {!Swpipe}); [pl_stages = 1]
             means the plan runs single-buffered *)
-  ; mutable bytecode : bytecode option
-        (** the flattened instruction array, installed by the pipeline's
-            final bytecode stage (or on first demand via [Bytecode.get]);
-            anyone rewriting [body] must reset this to [None] *)
   }
 
 (* ----- statistics ----- *)
 
-let rec count_ops ops =
-  List.fold_left
-    (fun acc op ->
-      acc
-      +
-      match op with
-      | Atomic_exec _ | Barrier | Commit_group | Wait_group _ | Fail _ -> 1
-      | Loop { l_body; _ } -> 1 + count_ops l_body
-      | Branch { b_then; b_else; _ } -> 1 + count_ops b_then + count_ops b_else
-      | Frame { f_body; _ } -> 1 + count_ops f_body)
-    0 ops
-
-let rec count_atomics ops =
-  List.fold_left
-    (fun acc op ->
-      acc
-      +
-      match op with
-      | Atomic_exec _ -> 1
-      | Barrier | Commit_group | Wait_group _ | Fail _ -> 0
-      | Loop { l_body; _ } -> count_atomics l_body
-      | Branch { b_then; b_else; _ } ->
-        count_atomics b_then + count_atomics b_else
-      | Frame { f_body; _ } -> count_atomics f_body)
-    0 ops
-
-let rec iter_atomics f ops =
-  List.iter
-    (fun op ->
-      match op with
-      | Atomic_exec a -> f a
-      | Barrier | Commit_group | Wait_group _ | Fail _ -> ()
-      | Loop { l_body; _ } -> iter_atomics f l_body
-      | Branch { b_then; b_else; _ } ->
-        iter_atomics f b_then;
-        iter_atomics f b_else
-      | Frame { f_body; _ } -> iter_atomics f f_body)
-    ops
-
 (* Views per dependence tier: (launch, block, loop, thread). *)
-let tier_counts ops =
+let tier_counts bc =
   let launch = ref 0 and block = ref 0 and loop = ref 0 and thread = ref 0 in
-  let count (d : Depcheck.dep) =
-    match d.Depcheck.d_tier with
+  let count v =
+    match v.v_dep.Depcheck.d_tier with
     | Depcheck.Launch -> incr launch
     | Depcheck.Block -> incr block
     | Depcheck.Loop -> incr loop
     | Depcheck.Thread -> incr thread
   in
-  iter_atomics
+  Array.iter
     (fun a ->
-      List.iter (fun v -> count v.v_dep) a.a_ins;
-      List.iter (fun v -> count v.v_dep) a.a_outs)
-    ops;
+      List.iter count a.a_ins;
+      List.iter count a.a_outs)
+    bc.bc_atomics;
   (!launch, !block, !loop, !thread)
 
 let is_move (a : atomic) =
   match a.a_spec.Spec.kind with Spec.Move -> true | _ -> false
 
 (* Widening statistics: (widened, per-thread move) atomic counts. *)
-let vec_counts ops =
+let vec_counts bc =
   let widened = ref 0 and moves = ref 0 in
-  iter_atomics
+  Array.iter
     (fun a ->
       if a.a_per_thread && is_move a then begin
         incr moves;
         if a.a_vec_width > 1 then incr widened
       end)
-    ops;
+    bc.bc_atomics;
   (!widened, !moves)
 
 (* Statically flagged bank-conflict warnings: (atomics flagged, total
    extra cycles per CTA-wide batch). *)
-let bank_warning_counts ops =
+let bank_warning_counts bc =
   let atomics = ref 0 and cycles = ref 0 in
-  iter_atomics
+  Array.iter
     (fun a ->
       if a.a_banks <> [] then begin
         incr atomics;
         List.iter (fun (_, c) -> cycles := !cycles + c) a.a_banks
       end)
-    ops;
+    bc.bc_atomics;
   (!atomics, !cycles)
 
 (* Histogram of the vectorize pass's refusal reasons over the plan's
@@ -259,9 +205,9 @@ let bank_warning_counts ops =
    verdict display), so the histogram is exactly the scalar residue a
    schedule search should attribute when a candidate ranks on narrow
    traffic. *)
-let refusal_histogram ops =
+let refusal_histogram bc =
   let tbl = Hashtbl.create 8 in
-  iter_atomics
+  Array.iter
     (fun a ->
       if a.a_per_thread && is_move a then
         match a.a_vec with
@@ -270,7 +216,7 @@ let refusal_histogram ops =
           let name = Vectorize.reason_name r in
           Hashtbl.replace tbl name
             (1 + Option.value ~default:0 (Hashtbl.find_opt tbl name)))
-    ops;
+    bc.bc_atomics;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
@@ -280,9 +226,9 @@ let refusal_histogram ops =
    move traffic. The weighting is structural (per atomic, not per
    execution), which matches how the roofline consumes it: a coarse
    plan-level width, not a trace. *)
-let global_vec_width ops =
+let global_vec_width bc =
   let bytes = ref 0 and weighted = ref 0 in
-  iter_atomics
+  Array.iter
     (fun a ->
       if a.a_per_thread && is_move a then
         List.iter
@@ -292,7 +238,7 @@ let global_vec_width ops =
               weighted := !weighted + (v.v_batch_bytes * v.v_vec_width)
             end)
           (a.a_ins @ a.a_outs))
-    ops;
+    bc.bc_atomics;
   if !bytes = 0 then None
   else Some (float_of_int !weighted /. float_of_int !bytes)
 
@@ -336,31 +282,64 @@ let pp_atomic fmt (a : atomic) =
     a.a_banks;
   if String.length a.a_label > 0 then Format.fprintf fmt "  // %s" a.a_label
 
-let rec pp_op fmt = function
-  | Atomic_exec a -> pp_atomic fmt a
-  | Loop { l_var; l_slot; l_body; _ } ->
-    Format.fprintf fmt "@[<v 2>loop %s (slot %d) {@,%a@]@,}" l_var l_slot
-      pp_ops l_body
-  | Branch { b_tid_dep; b_then; b_else = []; _ } ->
-    Format.fprintf fmt "@[<v 2>branch%s {@,%a@]@,}"
-      (if b_tid_dep then " #divergent" else "")
-      pp_ops b_then
-  | Branch { b_tid_dep; b_then; b_else; _ } ->
-    Format.fprintf fmt "@[<v 2>branch%s {@,%a@]@,} else {@,%a@,}"
-      (if b_tid_dep then " #divergent" else "")
-      pp_ops b_then pp_ops b_else
-  | Barrier -> Format.fprintf fmt "barrier"
-  | Commit_group -> Format.fprintf fmt "cp.async.commit_group"
-  | Wait_group n -> Format.fprintf fmt "cp.async.wait_group %d" n
-  | Frame { f_label; f_body } ->
-    Format.fprintf fmt "@[<v 2>frame %S {@,%a@]@,}" f_label pp_ops f_body
-  | Fail msg -> (
-    match String.index_opt msg '\n' with
-    | None -> Format.fprintf fmt "fail %S" msg
-    | Some i -> Format.fprintf fmt "fail %S ..." (String.sub msg 0 i))
+(* Render the instructions in [pc, endpc) one per line, recursing into
+   each structured op's body range. *)
+let rec pp_range bc fmt (pc, endpc) =
+  if pc < endpc then begin
+    let next = pp_instr bc fmt pc in
+    if next < endpc then Format.pp_print_cut fmt ();
+    pp_range bc fmt (next, endpc)
+  end
 
-and pp_ops fmt ops =
-  Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_op fmt ops
+(* Render the instruction at [pc]; returns the pc after it (and its
+   bodies). A structured op keeps its body length(s) in its last header
+   words, and its body starts right after them. *)
+and pp_instr bc fmt pc =
+  let code = bc.bc_code in
+  let body = pc + header_words.(code.(pc)) in
+  let len k = code.(body - k) in
+  match code.(pc) with
+  | 0 (* exec *) ->
+    pp_atomic fmt bc.bc_atomics.(code.(pc + 1));
+    body
+  | 1 (* loop *) ->
+    Format.fprintf fmt "@[<v 2>loop %s (slot %d) {@,%a@]@,}"
+      bc.bc_labels.(code.(pc + 5))
+      code.(pc + 1) (pp_range bc)
+      (body, body + len 1);
+    body + len 1
+  | (2 | 3) as op (* branch / branch.div *) ->
+    let e0 = body + len 2 in
+    let next = e0 + len 1 in
+    let tag = if op = op_branch_div then " #divergent" else "" in
+    if next = e0 then
+      Format.fprintf fmt "@[<v 2>branch%s {@,%a@]@,}" tag (pp_range bc)
+        (body, e0)
+    else
+      Format.fprintf fmt "@[<v 2>branch%s {@,%a@]@,} else {@,%a@,}" tag
+        (pp_range bc) (body, e0) (pp_range bc) (e0, next);
+    next
+  | 4 (* barrier *) ->
+    Format.fprintf fmt "barrier";
+    body
+  | 5 (* frame *) ->
+    Format.fprintf fmt "@[<v 2>frame %S {@,%a@]@,}"
+      bc.bc_labels.(code.(pc + 1))
+      (pp_range bc)
+      (body, body + len 1);
+    body + len 1
+  | 6 (* fail *) ->
+    (let msg = bc.bc_fails.(code.(pc + 1)) in
+     match String.index_opt msg '\n' with
+     | None -> Format.fprintf fmt "fail %S" msg
+     | Some i -> Format.fprintf fmt "fail %S ..." (String.sub msg 0 i));
+    body
+  | 7 (* commit *) ->
+    Format.fprintf fmt "cp.async.commit_group";
+    body
+  | _ (* 8, wait *) ->
+    Format.fprintf fmt "cp.async.wait_group %d" code.(pc + 1);
+    body
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>// plan %s on %s@," t.kernel.Spec.name
@@ -400,6 +379,7 @@ let pp fmt t =
       t.pipelining.pl_queue_bound;
   if t.diagnostics <> [] then
     List.iter (fun d -> Format.fprintf fmt "// WARN %s@," d) t.diagnostics;
-  Format.fprintf fmt "%a@]" pp_ops t.body
+  Format.fprintf fmt "%a@]" (pp_range t.body)
+    (0, Array.length t.body.bc_code)
 
 let to_string t = Format.asprintf "%a" pp t

@@ -1,8 +1,10 @@
 (** The execution-plan IR produced by {!Pipeline.lower} and executed by
     the simulator's [Interp.run_plan].
 
-    A plan is lowered once and executed many times: every leaf spec is
-    already paired with its atomic instruction (resolved exactly once),
+    A plan is lowered once and executed many times. Its body is one dense
+    int-tagged instruction array ({!bytecode}; layout in {!Bytecode}):
+    every leaf spec is already paired with its atomic instruction
+    (resolved exactly once),
     costs and profiler attribution strings are precomputed, all symbolic
     index arithmetic is compiled to closures over one dense [int array]
     environment (see {!Slots}, {!Expr_comp}), and every compiled view and
@@ -41,7 +43,7 @@ type atomic =
   ; a_is_async : bool
         (** a cp.async data movement: execution defers the destination
             write onto the block's async-copy queue, to land at the next
-            draining {!Wait_group} *)
+            draining [cp.async.wait_group] *)
   ; a_dur : int
   ; a_label : string
   ; a_kind : string
@@ -68,42 +70,37 @@ type atomic =
             conflict cycles per CTA-wide batch) *)
   }
 
-type op =
-  | Atomic_exec of atomic
-  | Loop of
-      { l_var : string
-      ; l_slot : int
-      ; l_lo : Expr_comp.cexpr
-      ; l_hi : Expr_comp.cexpr
-      ; l_step : Expr_comp.cexpr
-      ; l_body : op list
-      }
-  | Branch of
-      { b_tid_dep : bool
-      ; b_cond : int array -> bool
-      ; b_then : op list
-      ; b_else : op list
-      }
-  | Barrier
-  | Commit_group
-      (** seal cp.async copies issued since the last commit into one
-          in-flight group (possibly empty) on the block's queue *)
-  | Wait_group of int
-      (** drain oldest committed groups until at most [n] remain *)
-  | Frame of { f_label : string; f_body : op list }
-  | Fail of string
-      (** a problem diagnosed at lowering whose error must fire only if
-          control flow reaches it (lazy, like the tree interpreter) *)
-
 type alloc = { al_buffer : string; al_mem : Gpu_tensor.Memspace.t; al_size : int }
 
-(** The flattened form of [body]: one dense int-tagged instruction array
-    plus side tables (built by {!Bytecode.of_plan}; the type lives here so
-    the plan can hold it without a module cycle). The executor dispatches
-    with a tight [match] over [bc_code] — no per-op closure chasing. *)
+(** Opcodes of [bc_code]; {!Bytecode} re-exports them with the
+    instruction layout. *)
+
+val op_exec : int
+val op_loop : int
+val op_branch : int
+val op_branch_div : int
+val op_barrier : int
+val op_frame : int
+val op_fail : int
+val op_commit : int
+val op_wait : int
+
+(** Words an instruction occupies before its body (opcode included),
+    indexed by opcode: bodies follow immediately, so stepping by these
+    visits every instruction once. *)
+val header_words : int array
+
+(** A plan's executable body: one dense int-tagged instruction array
+    plus side tables, emitted directly by the compile pass through
+    {!Bytecode}'s builder. The executor dispatches with a tight [match]
+    over [bc_code] — no per-op closure chasing. A lowering-time
+    diagnosis is a [fail] instruction whose error fires only if control
+    flow reaches it (lazy, like the tree interpreter). *)
 type bytecode =
   { bc_code : int array
-  ; bc_atomics : atomic array  (** indexed by [a_id] *)
+  ; bc_atomics : atomic array
+        (** indexed by [a_id]; ids are assigned in program order, so this
+            is also the order the atomics appear in [bc_code] *)
   ; bc_exprs : Expr_comp.cexpr array  (** loop bound pool *)
   ; bc_conds : (int array -> bool) array  (** branch predicate pool *)
   ; bc_labels : string array  (** loop var / frame label pool *)
@@ -141,48 +138,38 @@ type t =
   ; cta_size : int
   ; grid_size : int
   ; allocs : alloc list
-  ; body : op list
+  ; body : bytecode
   ; n_views : int  (** total views = size of the executor's view cache *)
-  ; n_atomics : int  (** total atomics = size of the executor's group cache *)
   ; warp_tids : int array array
         (** precompiled warp schedule: thread ids of each warp of the
             CTA, ascending; built once per plan *)
   ; diagnostics : string list
   ; vec_enabled : bool  (** whether the vectorize pass was allowed to widen *)
   ; pipelining : pipelining  (** software-pipelining outcome *)
-  ; mutable bytecode : bytecode option
-        (** the flattened instruction array (see {!Bytecode}); anyone
-            rewriting [body] must reset this to [None] so stale code is
-            never executed *)
   }
 
-(** Total op count / atomic-exec count, for summaries. *)
-val count_ops : op list -> int
-
-val count_atomics : op list -> int
-
-(** Apply [f] to every atomic in the op tree, in program order. *)
-val iter_atomics : (atomic -> unit) -> op list -> unit
-
 (** View counts per dependence tier: [(launch, block, loop, thread)]. *)
-val tier_counts : op list -> int * int * int * int
+val tier_counts : bytecode -> int * int * int * int
 
 (** [(widened, per-thread moves)] atomic counts. *)
-val vec_counts : op list -> int * int
+val vec_counts : bytecode -> int * int
 
 (** [(atomics flagged, total extra cycles per CTA-wide batch)] of the
     static bank-conflict lint. *)
-val bank_warning_counts : op list -> int * int
+val bank_warning_counts : bytecode -> int * int
 
 (** Histogram of the vectorize pass's refusal reasons over per-thread
     moves — [(reason slug, count)], sorted by slug. Prune/refusal
     telemetry for schedule search. *)
-val refusal_histogram : op list -> (string * int) list
+val refusal_histogram : bytecode -> (string * int) list
 
 (** Bytes-weighted mean vector width over the global views of per-thread
     moves (structural, per atomic); [None] without global move traffic.
     Feeds {!Gpu_sim.Perf_model}'s [vec_width]. *)
-val global_vec_width : op list -> float option
+val global_vec_width : bytecode -> float option
 
+(** The plan listing: header comments (tiers, vectorize, pipelining,
+    diagnostics), allocations, then the body one instruction per line
+    with structured ops' bodies indented. *)
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

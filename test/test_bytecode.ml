@@ -1,5 +1,5 @@
-(* Tests for the bytecode plan executor (the flatten-to-bytecode pass
-   plus [Interp.run_plan]'s dispatch loop):
+(* Tests for the bytecode plan executor (the compile pass's bytecode
+   builder plus [Interp.run_plan]'s dispatch loop):
 
    - cross-engine determinism: for every kernel family, both
      [Interp.engine]s ([Tree], [Bytecode]) at domains
@@ -8,8 +8,8 @@
    - the fixed-seed divergence corpus of test_divergence.ml, driven
      through the bytecode engine's preallocated mask arena;
    - the bytecode encoding itself: pinned opcode numbers (the executor
-     dispatches on integer literals), instruction counts vs the op
-     tree, histogram consistency, memoized install;
+     dispatches on integer literals), histogram consistency, one EXEC
+     per atomic id, and the builder's exact word layout;
    - engine selection: [engine_of_string] / [engine_name] round-trip;
    - cost-based chunking: [Domain_pool.cost_chunk_size] bounds and
      monotonicity, [cost_chunks] covering [0, total) ascending. *)
@@ -365,7 +365,7 @@ let check_divergent_kernel name arch kernel =
   let args0, c0, r0, t0 = run_one tree ~domains:1 in
   (* A generated kernel must actually exercise the mask arena. *)
   check_bool (name ^ ": bytecode has divergent branches") true
-    ((Bytecode.get plan).Plan.bc_max_depth >= 0);
+    (plan.Plan.body.Plan.bc_max_depth >= 0);
   List.iter
     (fun domains ->
       let tag = Printf.sprintf "%s: bytecode @ %d domains" name domains in
@@ -386,7 +386,7 @@ let test_bc_divergence_corpus () =
   for idx = 0 to 11 do
     let kernel = gen_kernel rng idx in
     let plan = Pipeline.lower Arch.SM86 kernel in
-    if (Bytecode.get plan).Plan.bc_max_depth > 0 then saw_divergence := true;
+    if plan.Plan.body.Plan.bc_max_depth > 0 then saw_divergence := true;
     check_divergent_kernel kernel.Spec.name Arch.SM86 kernel
   done;
   check_bool "corpus contains divergent kernels" true !saw_divergence
@@ -414,17 +414,14 @@ let test_opcode_numbers () =
     ; (Bytecode.op_fail, "fail")
     ]
 
-(* Flattening preserves the op tree node-for-node: one instruction per
-   plan op, and the histogram sums to the instruction count. *)
+(* The histogram sums to the instruction count, and the atomics pool is
+   exactly the EXEC operands: each [a_id] appears in one EXEC, and
+   [bc_atomics.(i)] has id [i]. *)
 let test_instruction_counts () =
   List.iter
     (fun (name, arch, kernel) ->
       let plan = Pipeline.lower arch kernel in
-      let bc = Bytecode.of_plan plan in
-      check_int
-        (name ^ ": one instruction per plan op")
-        (Plan.count_ops plan.Plan.body)
-        (Bytecode.instruction_count bc);
+      let bc = plan.Plan.body in
       check_int
         (name ^ ": histogram sums to instruction count")
         (Bytecode.instruction_count bc)
@@ -435,7 +432,24 @@ let test_instruction_counts () =
         (name ^ ": atomics pool matches EXEC count")
         true
         (Array.length bc.Plan.bc_atomics
-        = (Bytecode.histogram bc).(Bytecode.op_exec)))
+        = (Bytecode.histogram bc).(Bytecode.op_exec));
+      let seen = Array.make (Array.length bc.Plan.bc_atomics) 0 in
+      let code = bc.Plan.bc_code in
+      let pc = ref 0 in
+      while !pc < Array.length code do
+        if code.(!pc) = Bytecode.op_exec then begin
+          let id = code.(!pc + 1) in
+          seen.(id) <- seen.(id) + 1
+        end;
+        pc := !pc + Plan.header_words.(code.(!pc))
+      done;
+      Array.iteri
+        (fun i n ->
+          check_int (Printf.sprintf "%s: a_id %d in exactly one EXEC" name i) 1 n;
+          check_int
+            (Printf.sprintf "%s: bc_atomics.(%d) has id %d" name i i)
+            i bc.Plan.bc_atomics.(i).Plan.a_id)
+        seen)
     [ ( "gemm-tc sm86"
       , Arch.SM86
       , Kernels.Gemm.tensor_core Arch.SM86
@@ -447,24 +461,54 @@ let test_instruction_counts () =
           ~chunk:16 ~nthreads:64 () )
     ]
 
-(* [of_plan] is pure; [get] memoizes into the plan. *)
-let test_memoized_install () =
-  let kernel =
-    Kernels.Gemm.naive ~m:32 ~n:32 ~k:16 ~bm:16 ~bn:16 ~tm:4 ~tn:4 ()
+(* The builder's word layout, checked against a hand-assembled body: a
+   loop around a divergent if/else (nested divergent branch in the else)
+   and a frame, then a barrier, async-copy fences and a lazy failure.
+   Atomics must arrive in id order. *)
+let test_builder_layout () =
+  let plan =
+    Pipeline.lower Arch.SM86
+      (Kernels.Gemm.naive ~m:32 ~n:32 ~k:16 ~bm:16 ~bn:16 ~tm:4 ~tn:4 ())
   in
-  let plan = Pipeline.lower Arch.SM86 kernel in
-  (* The pipeline's bytecode stage installs at lowering time. *)
-  check_bool "pipeline installs bytecode" true (plan.Plan.bytecode <> None);
-  let bc1 = Bytecode.get plan in
-  let bc2 = Bytecode.get plan in
-  check_bool "get memoizes" true (bc1 == bc2);
-  plan.Plan.bytecode <- None;
-  let fresh = Bytecode.of_plan plan in
-  check_bool "of_plan does not install" true (plan.Plan.bytecode = None);
-  check_bool "rebuild is code-identical" true
-    (fresh.Plan.bc_code = bc1.Plan.bc_code);
-  Bytecode.install plan;
-  check_bool "install installs" true (plan.Plan.bytecode <> None)
+  let a0 = plan.Plan.body.Plan.bc_atomics.(0) in
+  let zero (_ : int array) = 0 and yes (_ : int array) = true in
+  let b = Bytecode.builder () in
+  Bytecode.loop b ~var:"i" ~slot:9 ~lo:zero ~hi:zero ~step:zero (fun () ->
+      Bytecode.branch b ~divergent:true yes
+        ~then_:(fun () -> Bytecode.exec b a0)
+        ~else_:(fun () ->
+          Bytecode.branch b ~divergent:true yes
+            ~then_:(fun () -> Bytecode.barrier b)
+            ~else_:ignore);
+      Bytecode.frame b "f" (fun () -> Bytecode.branch b ~divergent:false yes
+          ~then_:ignore ~else_:ignore));
+  Bytecode.barrier b;
+  Bytecode.commit b;
+  Bytecode.wait b 1;
+  Bytecode.fail b "boom";
+  let bc = Bytecode.finish b in
+  Alcotest.(check (array int))
+    "code words"
+    [| 1; 9; 0; 1; 2; 0; 20 (* loop i, len 20 *)
+     ; 3; 0; 0; 2; 6 (* branch.div depth 0, then 2, else 6 *)
+     ; 0; 0 (* exec #0 *)
+     ; 3; 1; 1; 1; 0 (* branch.div depth 1, then 1, else 0 *)
+     ; 4 (* barrier *)
+     ; 5; 1; 4 (* frame f, len 4 *)
+     ; 2; 2; 0; 0 (* branch, then 0, else 0 *)
+     ; 4; 7; 8; 1; 6; 0 (* barrier, commit, wait 1, fail 0 *)
+    |]
+    bc.Plan.bc_code;
+  check_int "max divergence depth" 2 bc.Plan.bc_max_depth;
+  check_int "one atomic" 1 (Array.length bc.Plan.bc_atomics);
+  Alcotest.(check (array string)) "labels" [| "i"; "f" |] bc.Plan.bc_labels;
+  Alcotest.(check (array string)) "fails" [| "boom" |] bc.Plan.bc_fails;
+  check_int "three conditions" 3 (Array.length bc.Plan.bc_conds);
+  check_int "three loop bounds" 3 (Array.length bc.Plan.bc_exprs);
+  check_bool "out-of-order atomic rejected" true
+    (match Bytecode.exec (Bytecode.builder ()) plan.Plan.body.Plan.bc_atomics.(1) with
+    | () -> false
+    | exception Invalid_argument _ -> true)
 
 (* ----- engine selection ----- *)
 
@@ -575,7 +619,7 @@ let () =
     ; ( "encoding"
       , [ Alcotest.test_case "opcode numbers pinned" `Quick test_opcode_numbers
         ; Alcotest.test_case "instruction counts" `Quick test_instruction_counts
-        ; Alcotest.test_case "memoized install" `Quick test_memoized_install
+        ; Alcotest.test_case "builder layout" `Quick test_builder_layout
         ] )
     ; ( "engine"
       , [ Alcotest.test_case "name round-trip" `Quick test_engine_names ] )

@@ -190,33 +190,20 @@ let test_collective_without_members_raises () =
   in
   let plan = Pipeline.lower Arch.SM86 kernel in
   let stripped = ref 0 in
-  let rec strip_ops ops = List.map strip_op ops
-  and strip_op = function
-    | Plan.Atomic_exec a when a.Plan.a_members <> None ->
+  let strip (a : Plan.atomic) =
+    if a.Plan.a_members = None then a
+    else begin
       incr stripped;
-      Plan.Atomic_exec { a with Plan.a_members = None }
-    | Plan.Atomic_exec a -> Plan.Atomic_exec a
-    | Plan.Loop { l_var; l_slot; l_lo; l_hi; l_step; l_body } ->
-      Plan.Loop { l_var; l_slot; l_lo; l_hi; l_step; l_body = strip_ops l_body }
-    | Plan.Branch { b_tid_dep; b_cond; b_then; b_else } ->
-      Plan.Branch
-        { b_tid_dep
-        ; b_cond
-        ; b_then = strip_ops b_then
-        ; b_else = strip_ops b_else
-        }
-    | Plan.Barrier -> Plan.Barrier
-    | Plan.Commit_group -> Plan.Commit_group
-    | Plan.Wait_group n -> Plan.Wait_group n
-    | Plan.Frame { f_label; f_body } ->
-      Plan.Frame { f_label; f_body = strip_ops f_body }
-    | Plan.Fail m -> Plan.Fail m
+      { a with Plan.a_members = None }
+    end
   in
-  let broken = { plan with Plan.body = strip_ops plan.Plan.body } in
-  (* The record copy carries the original body's installed bytecode;
-     drop it so every engine flattens (and so executes) the doctored
-     body. *)
-  broken.Plan.bytecode <- None;
+  let bc = plan.Plan.body in
+  let broken =
+    { plan with
+      Plan.body =
+        { bc with Plan.bc_atomics = Array.map strip bc.Plan.bc_atomics }
+    }
+  in
   check_bool "stripped a collective" true (!stripped > 0);
   let args () =
     [ ("In", Array.init 32 float_of_int); ("Out", Array.make 32 0.0) ]

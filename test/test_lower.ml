@@ -173,7 +173,8 @@ let test_find_called_once_per_leaf () =
   let plan = Pipeline.lower arch kernel in
   check_int "one find per leaf during lowering" (before + leaves)
     !Atomic.find_calls;
-  check_int "every leaf resolved" leaves (Plan.count_atomics plan.Plan.body);
+  check_int "every leaf resolved" leaves
+    (Array.length plan.Plan.body.Plan.bc_atomics);
   let args =
     List.map
       (fun (p : Ts.t) ->
@@ -243,22 +244,24 @@ let test_compiled_offsets_match () =
 
 (* ----- lazy error semantics ----- *)
 
-let test_unmatched_leaf_is_lazy () =
+(* A kernel whose guarded leaf (a 7-element register move) matches no
+   atomic spec; [dead] makes the guard statically false. *)
+let lazy_kernel dead =
   let grid = Tt.grid "g" [ 1 ] in
   let cta = Tt.cta "cta" [ 32 ] in
   let thr = Tt.select cta [ B.thread_idx ] in
   let a = Ts.create_rm "A" [ 32 ] Dt.FP32 Ms.Global in
   let dst = Ts.select a [ B.thread_idx ] in
-  (* A 7-element register move matches no atomic spec. *)
   let r = Ts.create "r" (L.vector 7) Dt.FP32 Ms.Register in
   let bogus = B.move ~threads:thr ~src:r ~dst:(Ts.select a [ E.zero ]) () in
-  let kernel dead =
-    B.kernel "lazy" ~grid ~cta ~params:[ a ]
-      [ Graphene.Spec.Alloc r
-      ; B.if_ B.(E.const (if dead then 1 else 0) ==. E.zero) [ bogus ]
-      ; B.init ~threads:thr 1.0 ~dst ()
-      ]
-  in
+  B.kernel "lazy" ~grid ~cta ~params:[ a ]
+    [ Graphene.Spec.Alloc r
+    ; B.if_ B.(E.const (if dead then 1 else 0) ==. E.zero) [ bogus ]
+    ; B.init ~threads:thr 1.0 ~dst ()
+    ]
+
+let test_unmatched_leaf_is_lazy () =
+  let kernel = lazy_kernel in
   (* Unreachable unmatched leaf: lowering succeeds, execution succeeds. *)
   let plan = Pipeline.lower Arch.SM86 (kernel true) in
   let buf = Array.make 32 0.0 in
@@ -339,6 +342,128 @@ let test_parse_ldmatrix () =
   check_case "mma.m16n8k16" None;
   check_case "" None
 
+(* ----- plan listing pin -----
+
+   [Plan.to_string] renders every op, view tier, vector verdict, bank
+   lint and pipelining header of a plan, so its digest pins what the
+   compile pass emits. One row per kernel family, one digest per
+   (vectorize, stages) combination in [listing_configs] order; any change
+   to the emitted plan or to its rendering moves a digest here. *)
+
+let listing_configs = [ (true, 1); (true, 3); (false, 1); (false, 3) ]
+
+let listing_families =
+  (* k = 4 staging tiles, so the sm86 plan pipelines at 3 stages. *)
+  let gemm_tc arch =
+    let m, n = if arch = Arch.SM70 then (32, 32) else (64, 64) in
+    Kernels.Gemm.tensor_core arch
+      (Kernels.Gemm.test_config arch)
+      ~epilogue:Kernels.Epilogue.none ~m ~n ~k:128 ()
+  in
+  [ ("gemm-tc sm86", Arch.SM86, fun () -> gemm_tc Arch.SM86)
+  ; ("gemm-tc sm70", Arch.SM70, fun () -> gemm_tc Arch.SM70)
+  ; ( "gemm-naive"
+    , Arch.SM86
+    , fun () ->
+        Kernels.Gemm.naive ~m:32 ~n:32 ~k:16 ~bm:16 ~bn:16 ~tm:4 ~tn:4 () )
+  ; ( "gemm-parametric"
+    , Arch.SM86
+    , fun () ->
+        Kernels.Gemm.naive_parametric ~launch_m:30 ~launch_n:20 ~bm:16
+          ~bn:16 ~tm:4 ~tn:4 () )
+  ; ( "fmha sm86"
+    , Arch.SM86
+    , fun () ->
+        Kernels.Fmha.kernel Arch.SM86 ~batch:1 ~heads:1 ~seq:32 ~dh:16
+          ~chunk:16 ~nthreads:64 () )
+  ; ( "fmha sm70"
+    , Arch.SM70
+    , fun () ->
+        Kernels.Fmha.kernel ~swizzle_smem:false Arch.SM70 ~batch:1 ~heads:1
+          ~seq:32 ~dh:32 ~chunk:32 ~nthreads:64 () )
+  ; ( "lstm"
+    , Arch.SM86
+    , fun () ->
+        Kernels.Lstm.kernel Arch.SM86
+          (Kernels.Gemm.test_config Arch.SM86)
+          ~m:64 ~n:64 ~k:64 () )
+  ; ( "mlp"
+    , Arch.SM86
+    , fun () ->
+        Kernels.Mlp.kernel Arch.SM86 ~m:64 ~width:64 ~layers:2 ~bm:64 ~wm:32
+          ~wn:32 () )
+  ; ( "layernorm"
+    , Arch.SM86
+    , fun () -> Kernels.Layernorm.kernel ~rows:2 ~cols:256 ~nthreads:64 () )
+  ; ( "softmax"
+    , Arch.SM86
+    , fun () -> Kernels.Softmax.kernel ~rows:2 ~cols:128 ~nthreads:64 () )
+  ; ( "gemm+layernorm"
+    , Arch.SM86
+    , fun () ->
+        Kernels.Gemm_layernorm.kernel Arch.SM86 ~m:64 ~k:32 ~width:64 ~bm:64
+          ~wm:32 ~wn:32 () )
+  ; ("ldmatrix", Arch.SM86, Kernels.Ldmatrix_demo.kernel)
+  ; ("lazy-fail", Arch.SM86, fun () -> lazy_kernel false)
+  ]
+
+let pinned_listings =
+  [ ( "gemm-tc sm86"
+    , [ "ce48047a4d89934d58d98be93065b934"; "34e4358f6db7d2983b6cebd1f8c9981a"
+      ; "4ff618ce1f0bd86f0a34a466ec55934a"; "12e69cb1123241763cb2e6321987feeb" ] )
+  ; ( "gemm-tc sm70"
+    , [ "29f912333cdd712d32c4be528d7b1fa6"; "29f912333cdd712d32c4be528d7b1fa6"
+      ; "565f93583c7de25a966e796f0a83e019"; "565f93583c7de25a966e796f0a83e019" ] )
+  ; ( "gemm-naive"
+    , [ "be03dd01e3ebe5cf00070f4c863027d3"; "be03dd01e3ebe5cf00070f4c863027d3"
+      ; "9db7e243fa966f1f2955c5c4688d3c4b"; "9db7e243fa966f1f2955c5c4688d3c4b" ] )
+  ; ( "gemm-parametric"
+    , [ "5a5ba68f4f878b357e8696938344cb06"; "5a5ba68f4f878b357e8696938344cb06"
+      ; "22b9651073091b64414afa084cab675d"; "22b9651073091b64414afa084cab675d" ] )
+  ; ( "fmha sm86"
+    , [ "f22b83f0defa6618e56355ac2281a6cc"; "f22b83f0defa6618e56355ac2281a6cc"
+      ; "ec37c9162c5d9ff89fe458f538a58623"; "ec37c9162c5d9ff89fe458f538a58623" ] )
+  ; ( "fmha sm70"
+    , [ "5f5cee7e3e1105087bec2d3bf47f3aaa"; "5f5cee7e3e1105087bec2d3bf47f3aaa"
+      ; "20683d76d57812570a96b811109f1196"; "20683d76d57812570a96b811109f1196" ] )
+  ; ( "lstm"
+    , [ "5eef0313fbface16a85d08dd996d7817"; "5eef0313fbface16a85d08dd996d7817"
+      ; "2e963a5ac1c0caa32493089561a4326f"; "2e963a5ac1c0caa32493089561a4326f" ] )
+  ; ( "mlp"
+    , [ "f057ca006aa5b08c5dbf14a2275d365b"; "f057ca006aa5b08c5dbf14a2275d365b"
+      ; "ca06ea9de74883cd7fd5917ebf19591e"; "ca06ea9de74883cd7fd5917ebf19591e" ] )
+  ; ( "layernorm"
+    , [ "272b34864e71426bcd410bcb698d619f"; "272b34864e71426bcd410bcb698d619f"
+      ; "3e1ca7fae34d35ec36b19101a88d07a9"; "3e1ca7fae34d35ec36b19101a88d07a9" ] )
+  ; ( "softmax"
+    , [ "0a7b7bfc61c8aa30d2278628ed8a4344"; "0a7b7bfc61c8aa30d2278628ed8a4344"
+      ; "747fcbccc07f912c2fcc8ea5f582bb1c"; "747fcbccc07f912c2fcc8ea5f582bb1c" ] )
+  ; ( "gemm+layernorm"
+    , [ "67a3d5579411b80c94e620b71fac7148"; "67a3d5579411b80c94e620b71fac7148"
+      ; "a7e0d7a41aad5f73ba75c0e2795e6c7f"; "a7e0d7a41aad5f73ba75c0e2795e6c7f" ] )
+  ; ( "ldmatrix"
+    , [ "118f3cabd6e3afca82f898fa45940fe2"; "118f3cabd6e3afca82f898fa45940fe2"
+      ; "a4d005bfb86aab0c3d1857fc80e9711e"; "a4d005bfb86aab0c3d1857fc80e9711e" ] )
+  ; ( "lazy-fail"
+    , [ "c3eb6f1df5b822a8e5b7864fc04ebc69"; "c3eb6f1df5b822a8e5b7864fc04ebc69"
+      ; "eaf96da7b5e22e99bc15ce0633d85b64"; "eaf96da7b5e22e99bc15ce0633d85b64" ] )
+  ]
+
+let test_listing_pin () =
+  let digests =
+    List.map
+      (fun (name, arch, mk) ->
+        ( name
+        , List.map
+            (fun (vectorize, stages) ->
+              Pipeline.lower ~vectorize ~stages arch (mk ())
+              |> Plan.to_string |> Digest.string |> Digest.to_hex)
+            listing_configs ))
+      listing_families
+  in
+  Alcotest.(check (list (pair string (list string))))
+    "listing digests" pinned_listings digests
+
 let () =
   Alcotest.run "lower"
     [ ( "plan/tree equivalence",
@@ -364,6 +489,7 @@ let () =
             test_unmatched_leaf_is_lazy
         ; Alcotest.test_case "unbound scalar message" `Quick
             test_unbound_scalar_message
+        ; Alcotest.test_case "listing pin" `Quick test_listing_pin
         ] )
     ; ( "satellites",
         [ Alcotest.test_case "add_instr_n" `Quick test_add_instr_n

@@ -4,7 +4,7 @@
      symbolic and too-small views widen (or refuse) for the stated reason;
    - pass-level verdicts on lowered kernels: per-thread moves widen,
      collectives/non-moves/divergent leaves refuse, [?vectorize:false]
-     and GRAPHENE_NO_VECTORIZE force every atomic scalar;
+     forces every atomic scalar;
    - bit-identity: for every kernel family, the widened plan produces
      bit-identical outputs, byte/sector/conflict counters, instruction
      mix and profiler JSON to a scalar-forced plan (at 1 and 4 domains),
@@ -106,7 +106,7 @@ let gemm_tc arch =
 
 let verdict_counts plan =
   let widened = ref 0 and refusals = Hashtbl.create 8 in
-  Plan.iter_atomics
+  Array.iter
     (fun a ->
       match a.Plan.a_vec with
       | V.Widened _ -> incr widened
@@ -114,7 +114,7 @@ let verdict_counts plan =
         let k = V.reason_name r in
         Hashtbl.replace refusals k
           (1 + Option.value ~default:0 (Hashtbl.find_opt refusals k)))
-    plan.Plan.body;
+    plan.Plan.body.Plan.bc_atomics;
   (!widened, fun r -> Option.value ~default:0 (Hashtbl.find_opt refusals r))
 
 let test_gemm_verdicts () =
@@ -173,11 +173,11 @@ let test_disabled_lowering () =
   check_bool "moves still counted" true (moves > 0);
   let _, refused = verdict_counts plan in
   check_bool "refusals say disabled" true (refused "disabled" >= moves);
-  Plan.iter_atomics
+  Array.iter
     (fun a ->
       check_int ("scalar width: " ^ a.Plan.a_label) 1 a.Plan.a_vec_width;
       check_bool ("no fastcopy: " ^ a.Plan.a_label) false a.Plan.a_fastcopy)
-    plan.Plan.body
+    plan.Plan.body.Plan.bc_atomics
 
 (* ----- bit-identity: widened vs scalar-forced vs tree ----- *)
 
@@ -396,7 +396,7 @@ let test_widened_fraction_nonzero () =
 
 let verdict_fingerprint plan =
   let b = Buffer.create 4096 in
-  Plan.iter_atomics
+  Array.iter
     (fun a ->
       Buffer.add_string b
         (Printf.sprintf "%s|%s|w%d|fc%b" a.Plan.a_label
@@ -412,7 +412,7 @@ let verdict_fingerprint plan =
         (fun (n, c) -> Buffer.add_string b (Printf.sprintf "|bank:%s=%d" n c))
         a.Plan.a_banks;
       Buffer.add_char b '\n')
-    plan.Plan.body;
+    plan.Plan.body.Plan.bc_atomics;
   Buffer.contents b
 
 let pinned_verdicts =
@@ -546,20 +546,6 @@ let test_static_shared_conflicts () =
        (view ~mem:Ms.Shared ~offset:(E.var "kk") "s" [ (8, 1) ])
     = None)
 
-(* ----- the environment gate (last: putenv cannot be undone) ----- *)
-
-let test_env_gate () =
-  Unix.putenv "GRAPHENE_NO_VECTORIZE" "1";
-  let plan = Pipeline.lower Arch.SM86 (gemm_tc Arch.SM86) in
-  check_bool "env var disables widening" false plan.Plan.vec_enabled;
-  let widened, _ = Plan.vec_counts plan.Plan.body in
-  check_int "env var: nothing widened" 0 widened;
-  (* The explicit parameter overrides the environment. *)
-  let plan = Pipeline.lower ~vectorize:true Arch.SM86 (gemm_tc Arch.SM86) in
-  check_bool "param overrides env" true plan.Plan.vec_enabled;
-  let widened, moves = Plan.vec_counts plan.Plan.body in
-  check_int "param overrides env: widened" moves widened
-
 let () =
   Alcotest.run "vectorize"
     [ ( "legality"
@@ -588,6 +574,4 @@ let () =
         ; Alcotest.test_case "static shared conflicts" `Quick
             test_static_shared_conflicts
         ] )
-    ; ( "env_gate"
-      , [ Alcotest.test_case "GRAPHENE_NO_VECTORIZE" `Quick test_env_gate ] )
     ]
