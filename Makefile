@@ -13,15 +13,16 @@ test:
 profile-smoke:
 	dune build @profile-smoke
 
-# 2-domain determinism check: a parallel run of a small tensor-core GEMM
-# must be bit-identical (counters, report, trace, buffers) to 1 domain.
+# Parallel oracle check (`simulate --check 4`): a 4-domain bytecode run
+# of a small tensor-core GEMM must be bit-identical (counters, report,
+# trace, buffers) to the 1-domain tree oracle.
 parallel-smoke:
 	dune build @parallel-smoke
 
-# Cross-engine determinism check: the tree and bytecode engines must
-# produce bit-identical reports, traces and buffers on a small
-# tensor-core GEMM (bytecode at 1 and 2 domains), and the lower listing
-# must include the flattened bytecode summary.
+# Oracle check (`simulate --check 2`): the bytecode engine at 1 and 2
+# domains must reproduce the tree oracle's counters, reports, traces and
+# buffers on a small tensor-core GEMM, and the lower listing must
+# include the flattened bytecode summary.
 bytecode-smoke:
 	dune build @bytecode-smoke
 
@@ -31,10 +32,10 @@ vector-smoke:
 	dune build @vector-smoke
 
 # Software-pipelining smoke: lower the tensor-core GEMM at a 3-stage
-# request (the plan listing shows the rotating-buffer rewrite) and run
-# the pipelined plan across both engines — counters, reports, traces
-# and outputs must be bit-identical to each other and the outputs must
-# match the CPU reference.
+# request (the plan listing shows the rotating-buffer rewrite) and hold
+# the pipelined plan to the tree oracle with `simulate --check 2` —
+# counters, reports, traces and outputs must be bit-identical and the
+# outputs must match the CPU reference.
 swpipe-smoke:
 	dune build @swpipe-smoke
 

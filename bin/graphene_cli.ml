@@ -160,9 +160,14 @@ let build arch name =
     in
     (kernel, [ ("X", x); ("Y", y) ], verify)
   | "fmha" ->
-    let batch = 1 and heads = 1 and seq = 32 and dh = 16 in
+    (* Volta's quad-pair mma needs a 32-wide head and chunk, and stages
+       K/V unswizzled (as the tests and the bench build it). *)
+    let sm70 = arch = Arch.SM70 in
+    let batch = 1 and heads = 1 and seq = 32 in
+    let dh = if sm70 then 32 else 16 in
     let kernel =
-      Kernels.Fmha.kernel arch ~batch ~heads ~seq ~dh ~chunk:16 ~nthreads:64 ()
+      Kernels.Fmha.kernel ~swizzle_smem:(not sm70) arch ~batch ~heads ~seq ~dh
+        ~chunk:dh ~nthreads:64 ()
     in
     let rows = batch * heads * seq in
     let q = Ref.random_fp16 ~seed:1 (rows * dh) in
@@ -254,17 +259,14 @@ let lower_cmd =
     in
     if plan_only then print_endline (Lower.Plan.to_string plan);
     let bc = plan.Lower.Plan.body in
-    let launch, block, loop, thread = Lower.Plan.tier_counts bc in
     Format.printf
       "lowered %s for %s: %d op(s), %d atomic(s), %d env slot(s), %d \
-       alloc(s)@.view dependence tiers: %d launch, %d block, %d loop, %d \
-       thread@."
+       alloc(s)@."
       kernel.Graphene.Spec.name (Arch.name arch)
       (Lower.Bytecode.instruction_count bc)
       (Array.length bc.Lower.Plan.bc_atomics)
       plan.Lower.Plan.nslots
-      (List.length plan.Lower.Plan.allocs)
-      launch block loop thread;
+      (List.length plan.Lower.Plan.allocs);
     let widened, moves = Lower.Plan.vec_counts bc in
     Format.printf "vectorize%s: %d of %d per-thread move(s) widened"
       (if plan.Lower.Plan.vec_enabled then "" else " (disabled)")
@@ -303,7 +305,7 @@ let lower_cmd =
           lint — the software-pipelining verdict (stages chosen, shared \
           bytes per stage, queue-depth bound, or the per-loop refusal \
           reasons) and the plan's bytecode (instruction histogram, \
-          scratch-arena size, dependence tiers). See docs/LOWERING.md.")
+          scratch-arena size). See docs/LOWERING.md.")
     Term.(
       const run $ arch_arg $ kernel_arg $ plan_only $ no_vectorize $ stages)
 
@@ -339,87 +341,42 @@ let engine_arg =
            docs/LOWERING.md.")
 
 let simulate_cmd =
-  let check_domains =
+  let check =
     Arg.(
       value
       & opt (some int) None
-      & info [ "check-domains" ] ~docv:"N"
+      & info [ "check" ] ~docv:"N"
           ~doc:
-            "Determinism check: run the kernel once on 1 domain and once on \
-             $(docv) domains and require bit-identical counters, profiler \
-             report, Chrome trace and output buffers. Exits non-zero on any \
-             difference.")
+            "Oracle check: run the kernel through the tree interpreter on 1 \
+             domain as the baseline, then the compiled plan on the bytecode \
+             engine at 1 and at $(docv) domains, and require bit-identical \
+             contract counters, profiler report, Chrome trace and output \
+             buffers. Prints every mismatch; exits non-zero on any.")
   in
-  let check_engines =
-    Arg.(
-      value & flag
-      & info [ "check-engines" ]
-          ~doc:
-            "Cross-engine determinism check: run the kernel with the tree \
-             engine (1 domain) as baseline, then with the bytecode engine \
-             on 1 and 2 domains, and require bit-identical profiler report, \
-             Chrome trace and output buffers. Exits non-zero on any \
-             difference.")
-  in
-  let run arch name domains engine check check_eng =
+  let run arch name domains engine check =
     let kernel, args, verify = build arch name in
-    let copy l = List.map (fun (n, a) -> (n, Array.copy a)) l in
-    let one_run ?engine ~domains args =
-      let trace = Gpu_sim.Trace.create () in
-      let profiler = Gpu_sim.Profiler.create ~trace () in
-      let counters =
-        Gpu_sim.Interp.run ~arch ~profiler ~domains ?engine kernel ~args ()
-      in
-      let report =
-        Gpu_sim.Profiler.report profiler ~kernel ~arch ~counters ()
-      in
-      ( Gpu_sim.Profiler.report_to_json report
-      , Gpu_sim.Trace.to_chrome_string trace )
-    in
     (match check with
     | None -> ()
     | Some nd ->
-      let args1 = copy args and argsn = copy args in
-      let report1, trace1 = one_run ?engine ~domains:1 args1 in
-      let reportn, tracen = one_run ?engine ~domains:nd argsn in
-      let check_one what ok =
-        Format.printf "  %-16s %s@." what
-          (if ok then "bit-identical" else "MISMATCH");
-        ok
+      let plan, _ = Lower.Pipeline.lower_cached arch kernel in
+      let runs =
+        Gpu_sim.Oracle.check ~profile:true ~reference:plan.Lower.Plan.kernel
+          plan ~args
+          [ (Gpu_sim.Interp.Bytecode, 1); (Gpu_sim.Interp.Bytecode, nd) ]
       in
-      Format.printf "determinism: 1 domain vs %d domains@." nd;
-      (* no && here: every check should print, even after a mismatch *)
-      let ok_report = check_one "profiler report" (String.equal report1 reportn) in
-      let ok_trace = check_one "chrome trace" (String.equal trace1 tracen) in
-      let ok_bufs = check_one "output buffers" (args1 = argsn) in
-      if not (ok_report && ok_trace && ok_bufs) then exit 1);
-    if check_eng then begin
-      let base_args = copy args in
-      let rbase, tbase =
-        one_run ~engine:Gpu_sim.Interp.Tree ~domains:1 base_args
-      in
-      Format.printf "engines: tree (1 domain) baseline@.";
-      let run_one (eng, nd) =
-        let a = copy args in
-        let r, t = one_run ~engine:eng ~domains:nd a in
-        let ok =
-          String.equal rbase r && String.equal tbase t && base_args = a
-        in
-        Format.printf "  %-8s %d domain(s)  %s@."
-          (Gpu_sim.Interp.engine_name eng)
-          nd
-          (if ok then "bit-identical" else "MISMATCH");
-        ok
-      in
-      (* no for_all: every engine should print, even after a mismatch *)
-      let oks =
-        List.map run_one
-          [ (Gpu_sim.Interp.Bytecode, 1)
-          ; (Gpu_sim.Interp.Bytecode, 2)
-          ]
-      in
-      if List.mem false oks then exit 1
-    end;
+      Format.printf "check: tree (1 domain) baseline@.";
+      List.iter
+        (fun ((eng, d), _, mismatches) ->
+          Format.printf "  %-8s %d domain(s)  %s@."
+            (Gpu_sim.Interp.engine_name eng)
+            d
+            (if mismatches = [] then "bit-identical"
+             else
+               "MISMATCH: "
+               ^ String.concat ", "
+                   (List.map Gpu_sim.Oracle.mismatch_to_string mismatches)))
+        runs;
+      if List.exists (fun (_, _, m) -> m <> []) runs then exit 1);
     let counters =
       Gpu_sim.Interp.run ~arch ?domains ?engine kernel ~args ()
     in
@@ -434,8 +391,7 @@ let simulate_cmd =
     (Cmd.info "simulate"
        ~doc:"Execute a kernel on the simulated GPU and verify the result.")
     Term.(
-      const run $ arch_arg $ kernel_arg $ domains_arg $ engine_arg
-      $ check_domains $ check_engines)
+      const run $ arch_arg $ kernel_arg $ domains_arg $ engine_arg $ check)
 
 let write_file path contents =
   try

@@ -30,9 +30,7 @@ let line ctx fmt =
 
 let raw ctx s = Buffer.add_string ctx.buf s
 
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
+let starts_with = Lower.Pipeline.starts_with
 
 let ty dt = Dt.to_cuda_string dt
 
@@ -510,13 +508,6 @@ let uses_gelu body =
       acc || match s.Spec.kind with Spec.Unary_pointwise Op.Gelu -> true | _ -> false)
     false body
 
-let shared_alloc_size (t : Ts.t) =
-  let cosize = L.cosize t.Ts.layout in
-  (* A swizzle permutes aligned power-of-two windows; pad the allocation to
-     a whole number of windows. *)
-  let w = Shape.Swizzle.window t.Ts.swizzle in
-  (cosize + w - 1) / w * w
-
 let cuda arch (k : Spec.kernel) =
   let ctx =
     { arch
@@ -565,7 +556,7 @@ let cuda arch (k : Spec.kernel) =
     (fun (t : Ts.t) ->
       if Ms.equal t.Ts.mem Ms.Shared then
         line ctx "__shared__ %s %s[%d];" (ty (Ts.dtype t)) t.Ts.buffer
-          (shared_alloc_size t))
+          (Lower.Pipeline.shared_alloc_size t))
     (Spec.allocs k.Spec.body);
   List.iter (emit_stmt ctx) k.Spec.body;
   hoist_state.enabled <- false;

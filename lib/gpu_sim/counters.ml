@@ -113,17 +113,16 @@ let sort_prefix (a : int array) n =
     Array.unsafe_set a (!j + 1) x
   done
 
-(* Distinct 32-byte sectors across a batch, modelling coalescing. The
-   array form is the core — the plan executor batches addresses into a
-   reused scratch buffer of which the first [len] entries are live; the
-   list form (tree interpreter) is a wrapper, so the two paths share one
-   implementation and cannot drift.
+(* Distinct 32-byte sectors across a batch, modelling coalescing. Both
+   executors batch addresses into a reused scratch buffer of which the
+   first [len] entries are live, so they share this one implementation
+   and cannot drift.
 
    Each address touches the sector range [a/32, (a+bytes-1)/32]; both
    ends are monotone in [a], so after sorting the addresses the ranges
    are ordered by both ends and the union is one sweep: a range adds
    the sectors beyond the highest one counted so far. *)
-let sectors_of_batcha ~bytes addresses ~len =
+let sectors_of_batch ~bytes addresses ~len =
   let a = gather_scratch len in
   Array.blit addresses 0 a 0 len;
   sort_prefix a len;
@@ -139,20 +138,12 @@ let sectors_of_batcha ~bytes addresses ~len =
   done;
   !count
 
-let sectors_of_batch ~bytes addresses =
-  let a = Array.of_list addresses in
-  sectors_of_batcha ~bytes a ~len:(Array.length a)
-
-let record_global_batcha t ~store ~bytes addresses ~len =
+let record_global_batch t ~store ~bytes addresses ~len =
   let total = bytes * len in
   if store then t.global_store_bytes <- t.global_store_bytes + total
   else t.global_load_bytes <- t.global_load_bytes + total;
   t.global_transactions <-
-    t.global_transactions + sectors_of_batcha ~bytes addresses ~len
-
-let record_global_batch t ~store ~bytes addresses =
-  let a = Array.of_list addresses in
-  record_global_batcha t ~store ~bytes a ~len:(Array.length a)
+    t.global_transactions + sectors_of_batch ~bytes addresses ~len
 
 (* The hardware serves at most 128 bytes (32 banks x 4 bytes) per phase;
    wide per-thread accesses split into phases of 128/bytes threads. Bank
@@ -160,7 +151,7 @@ let record_global_batch t ~store ~bytes addresses =
    distinct 4-byte words mapping to one bank. Each phase gathers its
    words, sorts and deduplicates them, and counts the distinct words per
    bank. *)
-let conflicts_of_batcha ~bytes addresses ~len =
+let conflicts_of_batch ~bytes addresses ~len =
   let per_phase = max 1 (128 / max 1 bytes) in
   let banks = Domain.DLS.get s_banks in
   let acc = ref 0 and i = ref 0 in
@@ -193,20 +184,12 @@ let conflicts_of_batcha ~bytes addresses ~len =
   done;
   !acc
 
-let conflicts_of_batch ~bytes addresses =
-  let a = Array.of_list addresses in
-  conflicts_of_batcha ~bytes a ~len:(Array.length a)
-
-let record_shared_batcha t ~store ~bytes addresses ~len =
+let record_shared_batch t ~store ~bytes addresses ~len =
   let total = bytes * len in
   if store then t.shared_store_bytes <- t.shared_store_bytes + total
   else t.shared_load_bytes <- t.shared_load_bytes + total;
   t.shared_bank_conflicts <-
-    t.shared_bank_conflicts + conflicts_of_batcha ~bytes addresses ~len
-
-let record_shared_batch t ~store ~bytes addresses =
-  let a = Array.of_list addresses in
-  record_shared_batcha t ~store ~bytes a ~len:(Array.length a)
+    t.shared_bank_conflicts + conflicts_of_batch ~bytes addresses ~len
 
 (* Memory-pipe requests issued for one warp-per-view access: [elems]
    per-thread scalar elements move as ceil(elems/width) instructions of
@@ -304,6 +287,64 @@ let global_mean_vec_width t =
 let instr_mix_alist t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.instr_mix []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+(* Every scalar counter by name, in declaration order, then the
+   instruction mix as ["instr_mix.<name>"] entries sorted by name. *)
+let fields t =
+  [ ("global_load_bytes", t.global_load_bytes)
+  ; ("global_store_bytes", t.global_store_bytes)
+  ; ("global_transactions", t.global_transactions)
+  ; ("shared_load_bytes", t.shared_load_bytes)
+  ; ("shared_store_bytes", t.shared_store_bytes)
+  ; ("shared_bank_conflicts", t.shared_bank_conflicts)
+  ; ("flops", t.flops)
+  ; ("tensor_core_flops", t.tensor_core_flops)
+  ; ("instructions", t.instructions)
+  ; ("global_requests", t.global_requests)
+  ; ("global_vec_requests", t.global_vec_requests)
+  ; ("global_vec_bytes", t.global_vec_bytes)
+  ; ("global_vec_elems", t.global_vec_elems)
+  ; ("shared_requests", t.shared_requests)
+  ; ("shared_vec_requests", t.shared_vec_requests)
+  ; ("shared_vec_bytes", t.shared_vec_bytes)
+  ; ("shared_vec_elems", t.shared_vec_elems)
+  ; ("async_copies", t.async_copies)
+  ; ("async_commits", t.async_commits)
+  ; ("async_waits", t.async_waits)
+  ; ("async_inflight_sum", t.async_inflight_sum)
+  ; ("async_max_inflight", t.async_max_inflight)
+  ]
+  @ List.map (fun (k, v) -> ("instr_mix." ^ k, v)) (instr_mix_alist t)
+
+let request_fields =
+  [ "global_requests"; "global_vec_requests"; "global_vec_bytes"
+  ; "global_vec_elems"; "shared_requests"; "shared_vec_requests"
+  ; "shared_vec_bytes"; "shared_vec_elems" ]
+
+let queue_fields =
+  [ "async_commits"; "async_waits"; "async_inflight_sum"; "async_max_inflight" ]
+
+(* An instruction present in only one mix differs from the other side
+   even at the same count, so presence is compared, not a 0 default. *)
+let diff ?(ignore = []) a b =
+  let fa = fields a and fb = fields b in
+  let names =
+    List.map fst fa
+    @ List.filter_map
+        (fun (n, _) -> if List.mem_assoc n fa then None else Some n)
+        fb
+  in
+  List.filter_map
+    (fun n ->
+      if List.mem n ignore then None
+      else
+        match (List.assoc_opt n fa, List.assoc_opt n fb) with
+        | Some x, Some y when x = y -> None
+        | x, y ->
+          Some (n, Option.value ~default:0 x, Option.value ~default:0 y))
+    names
+
+let contract_diff a b = diff ~ignore:(request_fields @ queue_fields) a b
 
 let pp fmt t =
   Format.fprintf fmt

@@ -53,41 +53,31 @@ val add_instr : t -> string -> unit
     equivalent to calling {!add_instr} [n] times. [n <= 0] is a no-op. *)
 val add_instr_n : t -> string -> int -> unit
 
-(** Distinct 32-byte DRAM sectors touched by one warp-synchronous batch —
-    the pure computation behind {!record_global_batch}, exposed so the
-    profiler can attach sector counts to trace events. *)
-val sectors_of_batch : bytes:int -> int list -> int
+(** {1 Warp batches}
 
-(** Extra serialized shared-memory cycles of one warp-synchronous batch —
-    the pure computation behind {!record_shared_batch}. *)
-val conflicts_of_batch : bytes:int -> int list -> int
+    Each takes the first [len] entries of a (reusable) address buffer —
+    byte addresses of every participating thread of one
+    warp-synchronous access — and allocates nothing. *)
 
-(** [record_global_batch t ~store ~bytes addresses] — one warp-synchronous
-    global access: byte addresses of every participating thread. Counts the
-    distinct 32-byte sectors touched, modelling coalescing. *)
-val record_global_batch : t -> store:bool -> bytes:int -> int list -> unit
+(** Distinct 32-byte DRAM sectors touched by one batch — the pure
+    computation behind {!record_global_batch}, exposed so the profiler
+    can attach sector counts to trace events. *)
+val sectors_of_batch : bytes:int -> int array -> len:int -> int
 
-(** [record_shared_batch t ~store ~bytes addresses] — one warp-synchronous
-    shared access: byte addresses of every participating thread. Computes
-    the bank-conflict degree: the maximum number of {e distinct} 4-byte
-    words mapping to the same of 32 banks (a broadcast of the same word is
-    free); degree-1 accesses add nothing. *)
-val record_shared_batch : t -> store:bool -> bytes:int -> int list -> unit
+(** Extra serialized shared-memory cycles of one batch — the pure
+    computation behind {!record_shared_batch}. *)
+val conflicts_of_batch : bytes:int -> int array -> len:int -> int
 
-(** {1 Array batch cores}
-
-    Allocation-free forms over the first [len] entries of a (reusable)
-    address buffer. These are the actual implementations — each list
-    function above is an [Array.of_list] wrapper — so both executor
-    paths share one computation and produce identical counts. *)
-
-val sectors_of_batcha : bytes:int -> int array -> len:int -> int
-val conflicts_of_batcha : bytes:int -> int array -> len:int -> int
-
-val record_global_batcha :
+(** One global access: books the bytes and the distinct 32-byte sectors
+    touched, modelling coalescing. *)
+val record_global_batch :
   t -> store:bool -> bytes:int -> int array -> len:int -> unit
 
-val record_shared_batcha :
+(** One shared access: books the bytes and the bank-conflict degree —
+    the maximum number of {e distinct} 4-byte words mapping to the same
+    of 32 banks (a broadcast of the same word is free); degree-1
+    accesses add nothing. *)
+val record_shared_batch :
   t -> store:bool -> bytes:int -> int array -> len:int -> unit
 
 (** [record_requests t ~global ~elems ~width ~bytes] — request accounting
@@ -128,5 +118,36 @@ val global_mean_vec_width : t -> float
 (** The instruction mix as an association list, sorted by instruction name
     (deterministic, for reports). *)
 val instr_mix_alist : t -> (string * int) list
+
+(** {1 Comparison}
+
+    The tree interpreter is the oracle for every compiled plan; these
+    name what a plan run may and may not differ from it in. *)
+
+(** Every scalar counter by name (the record field names, in declaration
+    order), followed by the instruction mix as ["instr_mix.<name>"]
+    entries sorted by instruction name. *)
+val fields : t -> (string * int) list
+
+(** The request/vector-width group: a widened plan issues fewer, wider
+    requests than the scalar tree walk. *)
+val request_fields : string list
+
+(** The four queue-depth counters ([async_commits], [async_waits],
+    [async_inflight_sum], [async_max_inflight]): a software-pipelined
+    plan moves them. [async_copies] is not among them — it is booked at
+    issue, so pipelining never changes it. *)
+val queue_fields : string list
+
+(** [diff ?ignore a b] — every entry of {!fields} whose value differs
+    between [a] and [b], as [(name, a's value, b's value)], in {!fields}
+    order; names in [ignore] (default none) are skipped. An instruction
+    in only one mix is reported with 0 on the other side. *)
+val diff : ?ignore:string list -> t -> t -> (string * int * int) list
+
+(** The tree ↔ plan contract: {!diff} over every field except
+    {!request_fields} and {!queue_fields}. [[]] means the plan run
+    reproduces the reference. *)
+val contract_diff : t -> t -> (string * int * int) list
 
 val pp : Format.formatter -> t -> unit

@@ -32,13 +32,6 @@ let sem_trace ctx =
 
 let with_tid env tid v = if String.equal v "threadIdx.x" then tid else env v
 
-let mentions_tid e = List.mem "threadIdx.x" (E.free_vars e)
-
-let rec pred_mentions_tid = function
-  | Spec.Cmp (_, a, b) -> mentions_tid a || mentions_tid b
-  | Spec.And (a, b) | Spec.Or (a, b) -> pred_mentions_tid a || pred_mentions_tid b
-  | Spec.Not p -> pred_mentions_tid p
-
 let rec eval_pred env = function
   | Spec.Cmp (r, a, b) ->
     let x = E.eval ~env a and y = E.eval ~env b in
@@ -83,16 +76,33 @@ let first_byte_address ctx env tid (v : Ts.t) =
     if Array.length offs = 0 then None
     else Some (offs.(0) * Dt.size_bytes (Ts.dtype v))
 
+(* Per-domain address scratch for the tree walk's warp batches (the
+   batch recorders read the first [len] entries of a reused buffer). *)
+let s_addrs = Domain.DLS.new_key (fun () -> ref (Array.make 32 0))
+
+let addr_scratch n =
+  let r = Domain.DLS.get s_addrs in
+  if Array.length !r < n then r := Array.make (max n (2 * Array.length !r)) 0;
+  !r
+
 let record_view_batch ctx env tids ~store (v : Ts.t) =
   match v.Ts.mem with
   | Ms.Register -> ()
   | Ms.Global | Ms.Shared ->
     let n = try Ts.num_scalars_int v with Invalid_argument _ -> 1 in
     let bytes = n * Dt.size_bytes (Ts.dtype v) in
-    let addrs =
-      List.filter_map (fun tid -> first_byte_address ctx env tid v) tids
+    let addrs = addr_scratch (List.length tids) in
+    let len =
+      List.fold_left
+        (fun len tid ->
+          match first_byte_address ctx env tid v with
+          | Some a ->
+            addrs.(len) <- a;
+            len + 1
+          | None -> len)
+        0 tids
     in
-    if addrs <> [] then begin
+    if len > 0 then begin
       let warp = match tids with t :: _ -> t / 32 | [] -> 0 in
       (* One scalar request per scalar index per warp batch: the tree
          path never widens, so this is the width-1 baseline the plan
@@ -101,17 +111,19 @@ let record_view_batch ctx env tids ~store (v : Ts.t) =
         ~global:(Ms.equal v.Ts.mem Ms.Global)
         ~elems:n ~width:1 ~bytes:0;
       if Ms.equal v.Ts.mem Ms.Global then begin
-        Counters.record_global_batch ctx.counters ~store ~bytes addrs;
+        Counters.record_global_batch ctx.counters ~store ~bytes addrs ~len;
         Option.iter
           (fun p ->
-            Profiler.on_global_batch p ~block:ctx.block ~store ~bytes ~warp addrs)
+            Profiler.on_global_batch p ~block:ctx.block ~store ~bytes ~warp
+              addrs ~len)
           ctx.prof
       end
       else begin
-        Counters.record_shared_batch ctx.counters ~store ~bytes addrs;
+        Counters.record_shared_batch ctx.counters ~store ~bytes addrs ~len;
         Option.iter
           (fun p ->
-            Profiler.on_shared_batch p ~block:ctx.block ~store ~bytes ~warp addrs)
+            Profiler.on_shared_batch p ~block:ctx.block ~store ~bytes ~warp
+              addrs ~len)
           ctx.prof
       end
     end
@@ -141,9 +153,6 @@ let exec_wait_group ctx n =
     c.Counters.async_inflight_sum + Memory.async_inflight ctx.mem;
   Memory.async_wait ctx.mem n
 
-let is_async_name name =
-  String.length name >= 8 && String.equal (String.sub name 0 8) "cp.async"
-
 (* Cost accounting for [instances] issues of one atomic instruction
    (shared by both engines; the plan precomputes [name]/[is_tc]/
    [is_async] and the cost at lowering). *)
@@ -171,8 +180,9 @@ let account_cost ctx ~name ~is_tc ~is_async (c : Atomic.cost) ~instances =
 let account_instr_cost ctx (instr : Atomic.instr) (s : Spec.t) ~instances =
   let name = instr.Atomic.name in
   account_cost ctx ~name
-    ~is_tc:(String.length name >= 3 && String.equal (String.sub name 0 3) "mma")
-    ~is_async:(is_async_name name) (instr.Atomic.cost s) ~instances
+    ~is_tc:(Lower.Pipeline.starts_with "mma" name)
+    ~is_async:(Lower.Pipeline.starts_with "cp.async" name)
+    (instr.Atomic.cost s) ~instances
 
 (* Execute a per-thread atomic spec for all active threads, warp by warp, so
    that address batches model warp-synchronous coalescing. *)
@@ -214,7 +224,7 @@ let record_ldmatrix_symbolic ctx ~trans x (s : Spec.t) env members =
     let row_addr j r =
       let tile =
         if outer_dims = [] then src
-        else Ts.select_ints src (Semantics.tile_coords outer_dims j)
+        else Ts.select_ints src (Lower.Pipeline.tile_coords outer_dims j)
       in
       let row =
         if trans then Ts.select_ints tile [ 0; r ]
@@ -223,15 +233,19 @@ let record_ldmatrix_symbolic ctx ~trans x (s : Spec.t) env members =
       let offs = Memory.offsets ctx.mem ~env:(with_tid env members.(0)) row in
       offs.(0) * Dt.size_bytes (Ts.dtype src)
     in
+    let addrs = addr_scratch 8 in
     for j = 0 to x - 1 do
-      let addrs = List.init 8 (fun r -> row_addr j r) in
-      Counters.record_shared_batch ctx.counters ~store:false ~bytes:16 addrs;
+      for r = 0 to 7 do
+        addrs.(r) <- row_addr j r
+      done;
+      Counters.record_shared_batch ctx.counters ~store:false ~bytes:16 addrs
+        ~len:8;
       Counters.record_requests ctx.counters ~global:false ~elems:1 ~width:1
         ~bytes:0;
       Option.iter
         (fun p ->
           Profiler.on_shared_batch p ~block:ctx.block ~store:false ~bytes:16
-            ~warp:(members.(0) / 32) addrs)
+            ~warp:(members.(0) / 32) addrs ~len:8)
         ctx.prof
     done
   | _ -> ()
@@ -285,7 +299,9 @@ let rec exec_stmt ctx env active stmt =
   | Spec.Commit_group -> exec_commit_group ctx
   | Spec.Wait_group n -> exec_wait_group ctx n
   | Spec.For { var; lo; hi; step; body; _ } ->
-    if mentions_tid lo || mentions_tid hi || mentions_tid step then
+    if
+      Lower.Pipeline.(mentions_tid lo || mentions_tid hi || mentions_tid step)
+    then
       error "loop %s has thread-dependent bounds" var;
     let lo = E.eval ~env lo and hi = E.eval ~env hi and step = E.eval ~env step in
     if step <= 0 then error "loop %s has non-positive step" var;
@@ -298,7 +314,7 @@ let rec exec_stmt ctx env active stmt =
     done;
     Option.iter Profiler.exit_frame ctx.prof
   | Spec.If { cond; then_; else_ } ->
-    if pred_mentions_tid cond then begin
+    if Lower.Pipeline.pred_mentions_tid cond then begin
       let taken, not_taken =
         List.partition (fun tid -> eval_pred (with_tid env tid) cond) active
       in
@@ -329,11 +345,6 @@ let rec exec_stmt ctx env active stmt =
           ctx.prof;
         if instr.Atomic.threads = 1 then exec_per_thread ctx instr s env active
         else exec_collective ctx instr s env active))
-
-let shared_alloc_size (t : Ts.t) =
-  let cosize = L.cosize t.Ts.layout in
-  let w = Shape.Swizzle.window t.Ts.swizzle in
-  (cosize + w - 1) / w * w
 
 (* ===== parallel grid execution =====
 
@@ -515,7 +526,8 @@ let run_tree ~arch ?profiler ?domains (k : Spec.kernel) ~args ?(scalars = []) ()
       (fun (t : Ts.t) ->
         match t.Ts.mem with
         | Ms.Shared ->
-          Memory.declare_shared mem t.Ts.buffer (shared_alloc_size t)
+          Memory.declare_shared mem t.Ts.buffer
+            (Lower.Pipeline.shared_alloc_size t)
         | Ms.Register ->
           Memory.declare_regs mem t.Ts.buffer (L.cosize t.Ts.layout)
         | Ms.Global -> error "Alloc of a global tensor %s" t.Ts.buffer)
@@ -877,18 +889,18 @@ let record_batch px w wmask ~store (pv : P.view) =
         ~elems:(bytes / pv.P.v_elt_bytes)
         ~width:pv.P.v_vec_width ~bytes:(bytes * !n);
       if Ms.equal pv.P.v_mem Ms.Global then begin
-        Counters.record_global_batcha ctx.counters ~store ~bytes addrs ~len:!n;
+        Counters.record_global_batch ctx.counters ~store ~bytes addrs ~len:!n;
         match ctx.prof with
         | Some p ->
-          Profiler.on_global_batcha p ~block:ctx.block ~store ~bytes ~warp:w
+          Profiler.on_global_batch p ~block:ctx.block ~store ~bytes ~warp:w
             addrs ~len:!n
         | None -> ()
       end
       else begin
-        Counters.record_shared_batcha ctx.counters ~store ~bytes addrs ~len:!n;
+        Counters.record_shared_batch ctx.counters ~store ~bytes addrs ~len:!n;
         match ctx.prof with
         | Some p ->
-          Profiler.on_shared_batcha p ~block:ctx.block ~store ~bytes ~warp:w
+          Profiler.on_shared_batch p ~block:ctx.block ~store ~bytes ~warp:w
             addrs ~len:!n
         | None -> ()
       end
@@ -1067,13 +1079,13 @@ let record_ldmatrix px (a : P.atomic) ~trans x members =
         if addr = no_addr then invalid_arg "index out of bounds";
         Array.unsafe_set px.ld8 r (addr * elt_bytes)
       done;
-      Counters.record_shared_batcha ctx.counters ~store:false ~bytes:16 px.ld8
+      Counters.record_shared_batch ctx.counters ~store:false ~bytes:16 px.ld8
         ~len:8;
       Counters.record_requests ctx.counters ~global:false ~elems:1 ~width:1
         ~bytes:0;
       match ctx.prof with
       | Some p ->
-        Profiler.on_shared_batcha p ~block:ctx.block ~store:false ~bytes:16
+        Profiler.on_shared_batch p ~block:ctx.block ~store:false ~bytes:16
           ~warp:(members.(0) / 32) px.ld8 ~len:8
       | None -> ()
     done

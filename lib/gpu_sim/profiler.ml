@@ -124,51 +124,14 @@ let on_cost p ~instr ~tc ~flops ~instructions ~instances =
       r.c.Counters.instructions + (instructions * instances) - instances;
     Counters.add_instr_n r.c instr instances
 
-let on_global_batch p ~block ~store ~bytes ~warp addresses =
+(* One warp-synchronous access batch over the first [len] entries of a
+   reusable address buffer: the row counters get the same update as the
+   run's totals, and the trace an instant event carrying the batch's
+   bytes and sectors (global) or bank conflicts (shared). *)
+let on_global_batch p ~block ~store ~bytes ~warp addresses ~len =
   (match p.current with
   | None -> ()
-  | Some r -> Counters.record_global_batch r.c ~store ~bytes addresses);
-  Option.iter
-    (fun tr ->
-      let name =
-        match p.current with Some r -> r.a_path | None -> "global access"
-      in
-      Trace.instant tr ~name ~cat:(if store then "global.store" else "global.load")
-        ~pid:block ~tid:warp
-        ~args:
-          [ ("bytes", Trace.Int (bytes * List.length addresses))
-          ; ("sectors", Trace.Int (Counters.sectors_of_batch ~bytes addresses))
-          ]
-        ())
-    p.trace_sink
-
-let on_shared_batch p ~block ~store ~bytes ~warp addresses =
-  (match p.current with
-  | None -> ()
-  | Some r -> Counters.record_shared_batch r.c ~store ~bytes addresses);
-  Option.iter
-    (fun tr ->
-      let name =
-        match p.current with Some r -> r.a_path | None -> "shared access"
-      in
-      Trace.instant tr ~name ~cat:(if store then "shared.store" else "shared.load")
-        ~pid:block ~tid:warp
-        ~args:
-          [ ("bytes", Trace.Int (bytes * List.length addresses))
-          ; ( "bank_conflicts"
-            , Trace.Int (Counters.conflicts_of_batch ~bytes addresses) )
-          ]
-        ())
-    p.trace_sink
-
-(* Array forms of the batch hooks: same row-counter updates and the same
-   trace instants (identical names, categories and argument values) over
-   the first [len] entries of a reusable address buffer — the plan
-   executor's allocation-free path. *)
-let on_global_batcha p ~block ~store ~bytes ~warp addresses ~len =
-  (match p.current with
-  | None -> ()
-  | Some r -> Counters.record_global_batcha r.c ~store ~bytes addresses ~len);
+  | Some r -> Counters.record_global_batch r.c ~store ~bytes addresses ~len);
   Option.iter
     (fun tr ->
       let name =
@@ -179,15 +142,15 @@ let on_global_batcha p ~block ~store ~bytes ~warp addresses ~len =
         ~args:
           [ ("bytes", Trace.Int (bytes * len))
           ; ( "sectors"
-            , Trace.Int (Counters.sectors_of_batcha ~bytes addresses ~len) )
+            , Trace.Int (Counters.sectors_of_batch ~bytes addresses ~len) )
           ]
         ())
     p.trace_sink
 
-let on_shared_batcha p ~block ~store ~bytes ~warp addresses ~len =
+let on_shared_batch p ~block ~store ~bytes ~warp addresses ~len =
   (match p.current with
   | None -> ()
-  | Some r -> Counters.record_shared_batcha r.c ~store ~bytes addresses ~len);
+  | Some r -> Counters.record_shared_batch r.c ~store ~bytes addresses ~len);
   Option.iter
     (fun tr ->
       let name =
@@ -198,7 +161,7 @@ let on_shared_batcha p ~block ~store ~bytes ~warp addresses ~len =
         ~args:
           [ ("bytes", Trace.Int (bytes * len))
           ; ( "bank_conflicts"
-            , Trace.Int (Counters.conflicts_of_batcha ~bytes addresses ~len) )
+            , Trace.Int (Counters.conflicts_of_batch ~bytes addresses ~len) )
           ]
         ())
     p.trace_sink

@@ -64,18 +64,11 @@ val on_cost :
   t -> instr:string -> tc:bool -> flops:int -> instructions:int ->
   instances:int -> unit
 
-(** One warp-synchronous global/shared access batch of the current spec.
-    [block] is the issuing thread block (trace event pid). *)
+(** One warp-synchronous global/shared access batch of the current spec,
+    over the first [len] entries of a reusable address buffer (no
+    per-batch allocation). [block] is the issuing thread block (trace
+    event pid). *)
 val on_global_batch :
-  t -> block:int -> store:bool -> bytes:int -> warp:int -> int list -> unit
-
-val on_shared_batch :
-  t -> block:int -> store:bool -> bytes:int -> warp:int -> int list -> unit
-
-(** Array forms over the first [len] entries of a reusable address
-    buffer — identical counter updates and trace events to the list
-    forms, without per-batch allocation (the plan executor's path). *)
-val on_global_batcha :
   t ->
   block:int ->
   store:bool ->
@@ -85,7 +78,7 @@ val on_global_batcha :
   len:int ->
   unit
 
-val on_shared_batcha :
+val on_shared_batch :
   t ->
   block:int ->
   store:bool ->

@@ -7,10 +7,6 @@ module Op = Graphene.Op
 let with_tid env tid v =
   if String.equal v "threadIdx.x" then tid else env v
 
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
 (* ----- fragment layouts ----- *)
 
 let mma_m16n8k16_a_coords lane =
@@ -244,23 +240,12 @@ let exec_thread_init mem v (s : Spec.t) offs tid =
 
 (* ----- collective instructions ----- *)
 
-(* Coordinates of the j-th tile, counting leftmost-fastest over the outer
-   dims — the hardware's matrix order for mma A operands (row block
-   fastest). *)
-let tile_coords outer_dims j =
-  let coords, _ =
-    List.fold_left
-      (fun (acc, rest) d -> ((rest mod d) :: acc, rest / d))
-      ([], j) outer_dims
-  in
-  List.rev coords
-
 let exec_ldmatrix mem x (s : Spec.t) offs members =
   let src, dst = single_io s in
   let lane0 = members.(0) in
   (* The source enumerates its outer tiles slowest and leftmost-fastest —
-     the same order as [tile_coords] — so the j-th 8x8 matrix is a
-     contiguous slice of the full offset enumeration. *)
+     the same order as [Lower.Pipeline.tile_coords] — so the j-th 8x8
+     matrix is a contiguous slice of the full offset enumeration. *)
   let src_offs = offs src lane0 in
   let tiles =
     if Ts.depth src > 1 then Shape.Layout.size_int src.Ts.layout else 1
@@ -421,9 +406,9 @@ let classify ~(instr : Atomic.instr) ~(spec : Spec.t) =
   match Atomic.parse_ldmatrix name with
   | Some (x, _) -> C_ldmatrix x
   | None ->
-    if starts_with "mma.m16n8k16" name then C_mma_m16n8k16
+    if Lower.Pipeline.starts_with "mma.m16n8k16" name then C_mma_m16n8k16
     else if String.equal "mma.m8n8k4" name then C_mma_m8n8k4
-    else if starts_with "cp.async" name then C_cp_async
+    else if Lower.Pipeline.starts_with "cp.async" name then C_cp_async
     else (
       match spec.Spec.kind with
       | Spec.Shfl kind -> C_shfl kind

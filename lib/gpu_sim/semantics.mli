@@ -115,7 +115,3 @@ val mma_m8n8k4_a_coords : int -> (int * int) array
 
 val mma_m8n8k4_b_coords : int -> (int * int) array
 val mma_m8n8k4_c_coords : int -> (int * int) array
-
-(** Coordinates of the j-th 8x8 matrix among an ldmatrix source's outer
-    tiles, leftmost-fastest (the hardware's matrix order). *)
-val tile_coords : int list -> int -> int list

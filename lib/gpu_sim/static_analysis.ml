@@ -54,8 +54,7 @@ let scale f a =
   ; instructions = f *. a.instructions
   }
 
-let is_tc name =
-  String.length name >= 3 && String.equal (String.sub name 0 3) "mma"
+let is_tc name = Lower.Pipeline.starts_with "mma" name
 
 let rec eval_pred env = function
   | Spec.Cmp (r, a, b) ->

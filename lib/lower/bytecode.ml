@@ -207,15 +207,12 @@ let summary ~cta_size (bc : P.bytecode) =
            else Some (Printf.sprintf "%s %d" (opcode_name op) counts.(op)))
          [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ])
   in
-  let l, b, lp, th = P.tier_counts bc in
   Printf.sprintf
-    "bytecode: %d instruction(s) in %d word(s); arena %d B (div depth %d); \
-     %s\n\
-     bytecode tiers: %d launch, %d block, %d loop, %d thread"
+    "bytecode: %d instruction(s) in %d word(s); arena %d B (div depth %d); %s"
     (instruction_count bc)
     (Array.length bc.P.bc_code)
     (arena_bytes ~cta_size bc)
-    bc.P.bc_max_depth hist l b lp th
+    bc.P.bc_max_depth hist
 
 (* The per-pass render for Pipeline.lower's logging: one line per
    instruction, operands decoded. *)

@@ -96,8 +96,9 @@ val instruction_count : Plan.bytecode -> int
     bytecode: the divergence mask arena, [2 * max_depth * warps * 8]. *)
 val arena_bytes : cta_size:int -> Plan.bytecode -> int
 
-(** One-paragraph summary: instruction count, code words, arena bytes,
-    opcode histogram, tier histogram. *)
+(** One-line summary: instruction count, code words, arena bytes and
+    opcode histogram (the view-tier histogram is in {!Plan.pp}'s
+    header). *)
 val summary : cta_size:int -> Plan.bytecode -> string
 
 (** Full decoded listing, one line per instruction. *)

@@ -282,8 +282,8 @@ let vectorize_pass ~enabled ~cta_size =
 (* ----- pass 7: compile ----- *)
 
 (* Coordinates of the j-th tile among an ldmatrix source's outer tiles,
-   leftmost-fastest (mirrors Semantics.tile_coords, which lives above
-   this library in the dependency order). *)
+   leftmost-fastest — the hardware's matrix order for ldmatrix and the
+   mma A operands (row block fastest). *)
 let tile_coords outer_dims j =
   let coords, _ =
     List.fold_left
@@ -447,8 +447,9 @@ and compile_stmt st ids b scope = function
     Bytecode.frame b label (fun () -> compile_stmts st ids b scope body)
   | F_fail msg -> Bytecode.fail b msg
 
-(* Shared allocations are rounded up to the swizzle window (mirrors the
-   tree interpreter's allocation sizing). *)
+(* Shared allocations are rounded up to the swizzle window: a swizzle
+   permutes aligned power-of-two windows, so the allocation holds a
+   whole number of them. *)
 let shared_alloc_size (t : Ts.t) =
   let cosize = L.cosize t.Ts.layout in
   let w = Shape.Swizzle.window t.Ts.swizzle in
@@ -580,8 +581,8 @@ let lower ?log ?vectorize ?stages arch (k : Spec.kernel) : Plan.t =
           (* Re-run the front half on the rewritten kernel (without
              re-logging it); the compile pass must receive the
              rewritten kernel so the tree engine re-interprets the
-             pipelined form — the three-engine consistency is
-             structural, not re-proved per engine. *)
+             pipelined form — the two engines agree by construction,
+             not by a per-engine proof. *)
           (k', front k', pl))
   in
   let k, vectorized, pipelining =

@@ -37,6 +37,25 @@ val lower :
   Graphene.Spec.kernel ->
   Plan.t
 
+(** {1 Helpers shared with the executor and the code generator} *)
+
+(** [starts_with prefix s] *)
+val starts_with : string -> string -> bool
+
+(** Whether an index expression mentions [threadIdx.x]. *)
+val mentions_tid : Shape.Int_expr.t -> bool
+
+(** Whether a predicate mentions [threadIdx.x] (a divergent branch). *)
+val pred_mentions_tid : Graphene.Spec.pred -> bool
+
+(** Coordinates of the j-th 8x8 matrix among an ldmatrix source's outer
+    tiles, leftmost-fastest (the hardware's matrix order). *)
+val tile_coords : int list -> int -> int list
+
+(** Elements to allocate for a shared tensor: its cosize rounded up to
+    the swizzle window. *)
+val shared_alloc_size : Gpu_tensor.Tensor.t -> int
+
 (** The unmatched-leaf diagnostic: the tree interpreter's message plus
     up to six same-family registry candidates (exposed for tests). *)
 val unmatched_message : Graphene.Arch.t -> Graphene.Spec.t -> string

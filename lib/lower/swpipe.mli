@@ -28,7 +28,7 @@
     must succeed with the slot origins as mode 1 — its stride is the
     rotation step applied to every view of the buffer.
 
-    The rewrite is audited by the three-engine bit-identity oracle
+    The rewrite is audited by the bit-identity oracle on both engines
     (test/test_swpipe.ml): outputs and every pre-existing counter field
     must match the unpipelined lowering exactly; only the async-queue
     occupancy counters may differ. *)

@@ -168,10 +168,10 @@ let view_cap (v : Ts.t) : (cap, reason) result =
 
    For shared views whose only free variable is threadIdx.x, every lane's
    first-scalar byte address is a lowering-time constant, so the warp's
-   bank pattern — exactly what [Counters.record_shared_batcha] will meter
+   bank pattern — exactly what [Counters.record_shared_batch] will meter
    at execution — is computable before any simulation runs. *)
 
-(* Mirrors Counters.conflicts_of_batcha, which lives above this library
+(* Mirrors Counters.conflicts_of_batch, which lives above this library
    in the dependency order (as Semantics.tile_coords is to the compile
    pass); test/test_vectorize.ml pins the two equal on shared inputs. *)
 let conflicts_of_addrs ~bytes addrs =

@@ -49,7 +49,7 @@ val view_cap : Gpu_tensor.Tensor.t -> (cap, reason) result
 val divisible : int -> Shape.Int_expr.t -> bool
 
 (** Extra serialized shared-memory cycles of one warp batch at the given
-    per-thread byte width. Mirrors [Gpu_sim.Counters.conflicts_of_batcha]
+    per-thread byte width. Mirrors [Gpu_sim.Counters.conflicts_of_batch]
     (which lives above this library in the dependency order);
     test/test_vectorize.ml pins the two equal. *)
 val conflicts_of_addrs : bytes:int -> int array -> int

@@ -251,50 +251,33 @@ let simulate (machine : Gpu_sim.Machine.t) (s : scored) =
 
 (* ----- tier 3: the exact equivalence oracle ----- *)
 
-(* Same comparison the bench harness applies between engines: every
-   byte/sector/conflict/flop counter and the instruction mix, bitwise.
-   The request counters are deliberately excluded — a vectorized plan
-   issues fewer, wider requests than the scalar tree path by design. *)
-let counters_equal (a : C.t) (b : C.t) =
-  a.C.global_load_bytes = b.C.global_load_bytes
-  && a.C.global_store_bytes = b.C.global_store_bytes
-  && a.C.global_transactions = b.C.global_transactions
-  && a.C.shared_load_bytes = b.C.shared_load_bytes
-  && a.C.shared_store_bytes = b.C.shared_store_bytes
-  && a.C.shared_bank_conflicts = b.C.shared_bank_conflicts
-  && a.C.flops = b.C.flops
-  && a.C.tensor_core_flops = b.C.tensor_core_flops
-  && a.C.instructions = b.C.instructions
-  && C.instr_mix_alist a = C.instr_mix_alist b
+(* The tree <-> plan counter contract (Counters.contract_diff). *)
+let counters_equal (a : C.t) (b : C.t) = C.contract_diff a b = []
 
-(* [verify_plan kernel plan] — run [kernel] through the tree-walking
-   reference interpreter and [plan] through the compiled executor on
-   copies of the same seeded random fp16 buffers; accept only if every
-   buffer and every compared counter is bitwise identical. This is the
-   exact oracle: a plan that reorders a floating-point reduction, skips
-   an element, or mismatches the kernel it claims to implement fails
-   bitwise even when it is numerically plausible. *)
+(* [verify_plan kernel plan] — hold [plan] to the oracle
+   ([Gpu_sim.Oracle]): [kernel] through the tree-walking reference
+   interpreter and [plan] through the bytecode engine, on copies of the
+   same seeded random fp16 buffers; accept only if every buffer and
+   every contract counter is bitwise identical. A plan that reorders a
+   floating-point reduction, skips an element, or mismatches the kernel
+   it claims to implement fails bitwise even when it is numerically
+   plausible. *)
 let verify_plan ?(seed = 0) (kernel : Spec.kernel) (plan : Lower.Plan.t) =
-  let arch = plan.Lower.Plan.arch in
-  let mk i (p : Ts.t) =
-    ( p.Ts.name
-    , Reference.Cpu_ref.random_fp16
-        ~seed:(seed + (31 * i) + 7)
-        (Shape.Layout.cosize p.Ts.layout) )
+  let args =
+    List.mapi
+      (fun i (p : Ts.t) ->
+        ( p.Ts.name
+        , Reference.Cpu_ref.random_fp16
+            ~seed:(seed + (31 * i) + 7)
+            (Shape.Layout.cosize p.Ts.layout) ))
+      kernel.Spec.params
   in
-  let args_tree = List.mapi mk kernel.Spec.params in
-  let args_plan = List.map (fun (n, a) -> (n, Array.copy a)) args_tree in
   match
-    ( Gpu_sim.Interp.run_tree ~arch ~domains:1 kernel ~args:args_tree ()
-    , Gpu_sim.Interp.run_plan ~domains:1 plan ~args:args_plan () )
+    Gpu_sim.Oracle.check ~reference:kernel plan ~args
+      [ (Gpu_sim.Interp.Bytecode, 1) ]
   with
   | exception _ -> false
-  | ct, cp ->
-    counters_equal ct cp
-    && List.length args_tree = List.length args_plan
-    && List.for_all2
-         (fun (na, xa) (nb, xb) -> String.equal na nb && xa = xb)
-         args_tree args_plan
+  | runs -> List.for_all (fun (_, _, mismatches) -> mismatches = []) runs
 
 (* Verify a candidate on its proxy problem: lower its proxy kernel (a
    plan-cache hit after tier 2) and hold the plan to the oracle. *)

@@ -23,7 +23,6 @@ module Ms = Gpu_tensor.Memspace
 module B = Graphene.Builder
 module Arch = Graphene.Arch
 module Spec = Graphene.Spec
-module C = Gpu_sim.Counters
 module Interp = Gpu_sim.Interp
 module Profiler = Gpu_sim.Profiler
 module Trace = Gpu_sim.Trace
@@ -37,57 +36,17 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
-let check_counters_equal name (a : C.t) (b : C.t) =
-  check_int (name ^ ": global_load_bytes") a.C.global_load_bytes
-    b.C.global_load_bytes;
-  check_int (name ^ ": global_store_bytes") a.C.global_store_bytes
-    b.C.global_store_bytes;
-  check_int (name ^ ": global_transactions") a.C.global_transactions
-    b.C.global_transactions;
-  check_int (name ^ ": shared_load_bytes") a.C.shared_load_bytes
-    b.C.shared_load_bytes;
-  check_int (name ^ ": shared_store_bytes") a.C.shared_store_bytes
-    b.C.shared_store_bytes;
-  check_int (name ^ ": shared_bank_conflicts") a.C.shared_bank_conflicts
-    b.C.shared_bank_conflicts;
-  check_int (name ^ ": flops") a.C.flops b.C.flops;
-  check_int (name ^ ": tensor_core_flops") a.C.tensor_core_flops
-    b.C.tensor_core_flops;
-  check_int (name ^ ": instructions") a.C.instructions b.C.instructions;
-  Alcotest.(check (list (pair string int)))
-    (name ^ ": instr mix") (C.instr_mix_alist a) (C.instr_mix_alist b)
-
-(* Every field, the request and cp.async counters included. The
-   engines book requests at each view's executed vector width, so the
-   tree oracle agrees on them only for plans that widen nothing. *)
-let check_all_counters_equal name (a : C.t) (b : C.t) =
-  check_counters_equal name a b;
-  let field label get = check_int (name ^ ": " ^ label) (get a) (get b) in
-  field "global_requests" (fun c -> c.C.global_requests);
-  field "global_vec_requests" (fun c -> c.C.global_vec_requests);
-  field "global_vec_bytes" (fun c -> c.C.global_vec_bytes);
-  field "global_vec_elems" (fun c -> c.C.global_vec_elems);
-  field "shared_requests" (fun c -> c.C.shared_requests);
-  field "shared_vec_requests" (fun c -> c.C.shared_vec_requests);
-  field "shared_vec_bytes" (fun c -> c.C.shared_vec_bytes);
-  field "shared_vec_elems" (fun c -> c.C.shared_vec_elems);
-  field "async_copies" (fun c -> c.C.async_copies);
-  field "async_commits" (fun c -> c.C.async_commits);
-  field "async_waits" (fun c -> c.C.async_waits);
-  field "async_inflight_sum" (fun c -> c.C.async_inflight_sum);
-  field "async_max_inflight" (fun c -> c.C.async_max_inflight)
-
 (* ----- cross-engine determinism ----- *)
 
 let engines = [ Interp.Tree; Interp.Bytecode ]
 let domain_counts = [ 1; 4; 7 ]
 
-(* Run the kernel through every engine at every domain count; demand
-   bit-identical counters, profiler report JSON, Chrome traces, and
-   output buffers against the 1-domain tree reference. *)
-let check_engines ?(scalars = []) ?args ?(check_counters = check_counters_equal)
-    name arch kernel =
-  let base_args =
+(* Run the kernel through every engine at every domain count; the
+   oracle demands contract counters (every field under [~ignore:[]]),
+   profiler report JSON, Chrome traces, and output buffers bit-identical
+   to the 1-domain tree reference. *)
+let check_engines ?(scalars = []) ?args ?ignore name arch kernel =
+  let args =
     match args with
     | Some a -> a
     | None ->
@@ -96,40 +55,11 @@ let check_engines ?(scalars = []) ?args ?(check_counters = check_counters_equal)
           (p.Ts.name, Ref.random_fp16 ~seed:(i + 1) (L.cosize p.Ts.layout)))
         kernel.Spec.params
   in
-  let machine = Gpu_sim.Machine.of_arch arch in
-  let plan = Pipeline.lower arch kernel in
-  let run_one ~engine ~domains =
-    let args = List.map (fun (n, a) -> (n, Array.copy a)) base_args in
-    let trace = Trace.create () in
-    let profiler = Profiler.create ~trace () in
-    let counters =
-      Interp.run_plan ~profiler ~domains ~engine plan ~args ~scalars ()
-    in
-    let report = Profiler.report profiler ~kernel ~arch ~counters ~machine () in
-    (args, counters, Profiler.report_to_json report, Trace.to_chrome_string trace)
-  in
-  let args1, c1, r1, t1 = run_one ~engine:Interp.Tree ~domains:1 in
-  List.iter
-    (fun engine ->
-      List.iter
-        (fun domains ->
-          let tag =
-            Printf.sprintf "%s: %s @ %d domains" name
-              (Interp.engine_name engine)
-              domains
-          in
-          let argsn, cn, rn, tn = run_one ~engine ~domains in
-          check_counters tag c1 cn;
-          check_str (tag ^ ": profiler report JSON") r1 rn;
-          check_str (tag ^ ": chrome trace") t1 tn;
-          List.iter2
-            (fun (bn, x) (_, y) ->
-              check_bool
-                (Printf.sprintf "%s: buffer %s bitwise" tag bn)
-                true (x = y))
-            args1 argsn)
-        domain_counts)
-    engines
+  Oracle_check.check ~profile:true ?ignore ~scalars name ~reference:kernel
+    (Pipeline.lower arch kernel) ~args
+    (List.concat_map
+       (fun engine -> List.map (fun d -> (engine, d)) domain_counts)
+       engines)
 
 let test_eng_gemm_tc () =
   List.iter
@@ -188,8 +118,7 @@ let ragged_args ?(short = "") () =
 
 let test_scalar_fma_ragged () =
   check_engines "gemm-parametric ragged" Arch.SM86 (ragged_kernel ())
-    ~args:(ragged_args ()) ~scalars:ragged_scalars
-    ~check_counters:check_all_counters_equal
+    ~args:(ragged_args ()) ~scalars:ragged_scalars ~ignore:[]
 
 (* A buffer three elements short faults on its last rows: the scalar
    path must raise the generic path's [Memory.Fault], message and all.
@@ -343,42 +272,13 @@ let gen_kernel rng idx =
     (block 0 None @ [ leaf () ])
 
 let check_divergent_kernel name arch kernel =
-  let machine = Gpu_sim.Machine.of_arch arch in
   let plan = Pipeline.lower arch kernel in
-  let run_one runner ~domains =
-    let args = [ ("A", Array.make (grid_blocks * cta_size) 0.0) ] in
-    let trace = Trace.create () in
-    let profiler = Profiler.create ~trace () in
-    let counters = runner ~profiler ~domains ~args in
-    let report = Profiler.report profiler ~kernel ~arch ~counters ~machine () in
-    ( args
-    , counters
-    , Profiler.report_to_json report
-    , Trace.to_chrome_string trace )
-  in
-  let tree ~profiler ~domains ~args =
-    Interp.run_tree ~arch ~profiler ~domains kernel ~args ()
-  in
-  let bc ~profiler ~domains ~args =
-    Interp.run_plan ~profiler ~domains ~engine:Interp.Bytecode plan ~args ()
-  in
-  let args0, c0, r0, t0 = run_one tree ~domains:1 in
   (* A generated kernel must actually exercise the mask arena. *)
   check_bool (name ^ ": bytecode has divergent branches") true
     (plan.Plan.body.Plan.bc_max_depth >= 0);
-  List.iter
-    (fun domains ->
-      let tag = Printf.sprintf "%s: bytecode @ %d domains" name domains in
-      let argsn, cn, rn, tn = run_one bc ~domains in
-      check_counters_equal tag c0 cn;
-      check_str (tag ^ ": profiler report JSON") r0 rn;
-      check_str (tag ^ ": chrome trace") t0 tn;
-      List.iter2
-        (fun (bn, x) (_, y) ->
-          check_bool (Printf.sprintf "%s: buffer %s bitwise" tag bn) true
-            (x = y))
-        args0 argsn)
-    [ 1; 4 ]
+  Oracle_check.check ~profile:true name ~reference:kernel plan
+    ~args:[ ("A", Array.make (grid_blocks * cta_size) 0.0) ]
+    [ (Interp.Bytecode, 1); (Interp.Bytecode, 4) ]
 
 let test_bc_divergence_corpus () =
   let rng = Random.State.make [| 0x9e3779b9; 42 |] in

@@ -19,36 +19,11 @@ module Ms = Gpu_tensor.Memspace
 module B = Graphene.Builder
 module Arch = Graphene.Arch
 module Spec = Graphene.Spec
-module C = Gpu_sim.Counters
 module Interp = Gpu_sim.Interp
-module Profiler = Gpu_sim.Profiler
-module Trace = Gpu_sim.Trace
 module Plan = Lower.Plan
 module Pipeline = Lower.Pipeline
 
 let check_bool = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
-let check_str = Alcotest.(check string)
-
-let check_counters_equal name (a : C.t) (b : C.t) =
-  check_int (name ^ ": global_load_bytes") a.C.global_load_bytes
-    b.C.global_load_bytes;
-  check_int (name ^ ": global_store_bytes") a.C.global_store_bytes
-    b.C.global_store_bytes;
-  check_int (name ^ ": global_transactions") a.C.global_transactions
-    b.C.global_transactions;
-  check_int (name ^ ": shared_load_bytes") a.C.shared_load_bytes
-    b.C.shared_load_bytes;
-  check_int (name ^ ": shared_store_bytes") a.C.shared_store_bytes
-    b.C.shared_store_bytes;
-  check_int (name ^ ": shared_bank_conflicts") a.C.shared_bank_conflicts
-    b.C.shared_bank_conflicts;
-  check_int (name ^ ": flops") a.C.flops b.C.flops;
-  check_int (name ^ ": tensor_core_flops") a.C.tensor_core_flops
-    b.C.tensor_core_flops;
-  check_int (name ^ ": instructions") a.C.instructions b.C.instructions;
-  Alcotest.(check (list (pair string int)))
-    (name ^ ": instr mix") (C.instr_mix_alist a) (C.instr_mix_alist b)
 
 (* ----- generated divergence corpus ----- *)
 
@@ -124,39 +99,10 @@ let par_domains = 4
 (* Tree at 1 domain is the baseline; the plan path must match it
    bit-for-bit at 1 and [par_domains] domains. *)
 let check_kernel name arch kernel =
-  let machine = Gpu_sim.Machine.of_arch arch in
-  let plan = Pipeline.lower arch kernel in
-  let run_one runner ~domains =
-    let args = [ ("A", Array.make (grid_blocks * cta_size) 0.0) ] in
-    let trace = Trace.create () in
-    let profiler = Profiler.create ~trace () in
-    let counters = runner ~profiler ~domains ~args in
-    let report = Profiler.report profiler ~kernel ~arch ~counters ~machine () in
-    ( args
-    , counters
-    , Profiler.report_to_json report
-    , Trace.to_chrome_string trace )
-  in
-  let tree ~profiler ~domains ~args =
-    Interp.run_tree ~arch ~profiler ~domains kernel ~args ()
-  in
-  let planp ~profiler ~domains ~args =
-    Interp.run_plan ~profiler ~domains plan ~args ()
-  in
-  let args0, c0, r0, t0 = run_one tree ~domains:1 in
-  List.iter
-    (fun domains ->
-      let tag = Printf.sprintf "%s: plan @ %d domains" name domains in
-      let argsn, cn, rn, tn = run_one planp ~domains in
-      check_counters_equal tag c0 cn;
-      check_str (tag ^ ": profiler report JSON") r0 rn;
-      check_str (tag ^ ": chrome trace") t0 tn;
-      List.iter2
-        (fun (bn, x) (_, y) ->
-          check_bool (Printf.sprintf "%s: buffer %s bitwise" tag bn) true
-            (x = y))
-        args0 argsn)
-    [ 1; par_domains ]
+  Oracle_check.check ~profile:true name ~reference:kernel
+    (Pipeline.lower arch kernel)
+    ~args:[ ("A", Array.make (grid_blocks * cta_size) 0.0) ]
+    [ (Interp.Bytecode, 1); (Interp.Bytecode, par_domains) ]
 
 let test_divergence_corpus () =
   let rng = Random.State.make [| 0x9e3779b9; 42 |] in

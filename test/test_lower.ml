@@ -21,41 +21,21 @@ module Spec = Graphene.Spec
 module Atomic = Graphene.Atomic
 module C = Gpu_sim.Counters
 module Interp = Gpu_sim.Interp
-module Profiler = Gpu_sim.Profiler
 module Pipeline = Lower.Pipeline
 module Plan = Lower.Plan
 module Ref = Reference.Cpu_ref
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-let check_str = Alcotest.(check string)
 
 (* ----- plan/tree equivalence ----- *)
 
-let check_counters_equal name (a : C.t) (b : C.t) =
-  check_int (name ^ ": global_load_bytes") a.C.global_load_bytes
-    b.C.global_load_bytes;
-  check_int (name ^ ": global_store_bytes") a.C.global_store_bytes
-    b.C.global_store_bytes;
-  check_int (name ^ ": global_transactions") a.C.global_transactions
-    b.C.global_transactions;
-  check_int (name ^ ": shared_load_bytes") a.C.shared_load_bytes
-    b.C.shared_load_bytes;
-  check_int (name ^ ": shared_store_bytes") a.C.shared_store_bytes
-    b.C.shared_store_bytes;
-  check_int (name ^ ": shared_bank_conflicts") a.C.shared_bank_conflicts
-    b.C.shared_bank_conflicts;
-  check_int (name ^ ": flops") a.C.flops b.C.flops;
-  check_int (name ^ ": tensor_core_flops") a.C.tensor_core_flops
-    b.C.tensor_core_flops;
-  check_int (name ^ ": instructions") a.C.instructions b.C.instructions;
-  Alcotest.(check (list (pair string int)))
-    (name ^ ": instr mix") (C.instr_mix_alist a) (C.instr_mix_alist b)
-
-(* Run the kernel through both paths with identical inputs; demand
-   bit-identical counters, profiler reports, and output buffers. *)
+(* Run the kernel through the tree reference and the plan (bytecode
+   engine, the default domain count) with identical inputs; the oracle
+   demands bit-identical contract counters, instruction mixes, profiler
+   reports, traces and output buffers. *)
 let check_equiv ?(scalars = []) ?args name arch kernel =
-  let base_args =
+  let args =
     match args with
     | Some a -> a
     | None ->
@@ -64,29 +44,9 @@ let check_equiv ?(scalars = []) ?args name arch kernel =
           (p.Ts.name, Ref.random_fp16 ~seed:(i + 1) (L.cosize p.Ts.layout)))
         kernel.Spec.params
   in
-  let machine = Gpu_sim.Machine.of_arch arch in
-  let run_path runner =
-    let args = List.map (fun (n, a) -> (n, Array.copy a)) base_args in
-    let profiler = Profiler.create () in
-    let counters = runner ~profiler ~args in
-    let report = Profiler.report profiler ~kernel ~arch ~counters ~machine () in
-    (args, counters, Profiler.report_to_json report)
-  in
-  let args1, c1, r1 =
-    run_path (fun ~profiler ~args ->
-        Interp.run_tree ~arch ~profiler kernel ~args ~scalars ())
-  in
-  let plan = Pipeline.lower arch kernel in
-  let args2, c2, r2 =
-    run_path (fun ~profiler ~args ->
-        Interp.run_plan ~profiler plan ~args ~scalars ())
-  in
-  check_counters_equal name c1 c2;
-  check_str (name ^ ": profiler report JSON") r1 r2;
-  List.iter2
-    (fun (bn, x) (_, y) ->
-      check_bool (Printf.sprintf "%s: buffer %s bitwise" name bn) true (x = y))
-    args1 args2
+  Oracle_check.check ~profile:true ~scalars name ~reference:kernel
+    (Pipeline.lower arch kernel) ~args
+    [ (Interp.Bytecode, Gpu_sim.Domain_pool.default_domains ()) ]
 
 let test_equiv_gemm_tc () =
   List.iter

@@ -1,9 +1,9 @@
 (* Tests for parallel grid execution and the plan cache:
 
-   - determinism: for every kernel family, [Interp.run_plan] and
-     [Interp.run_tree] at domains ∈ {2, 4, 7} must produce counters,
-     profiler report JSON, Chrome traces, and output buffers
-     bit-identical to the 1-domain run;
+   - determinism: for every kernel family, the bytecode and tree
+     engines at domains ∈ {2, 4, 7} (and bytecode at 1) must produce
+     counters, profiler report JSON, Chrome traces, and output buffers
+     bit-identical to the 1-domain tree oracle;
    - [Counters.merge] / [Counters.merge_list] sum every field,
      including DRAM sectors, bank conflicts, and the instruction mix
      (broadcasts stay free, conflicts stay counted);
@@ -18,45 +18,23 @@ module Spec = Graphene.Spec
 module Atomic = Graphene.Atomic
 module C = Gpu_sim.Counters
 module Interp = Gpu_sim.Interp
-module Profiler = Gpu_sim.Profiler
-module Trace = Gpu_sim.Trace
 module Domain_pool = Gpu_sim.Domain_pool
 module Pipeline = Lower.Pipeline
 module Ref = Reference.Cpu_ref
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-let check_str = Alcotest.(check string)
-
-let check_counters_equal name (a : C.t) (b : C.t) =
-  check_int (name ^ ": global_load_bytes") a.C.global_load_bytes
-    b.C.global_load_bytes;
-  check_int (name ^ ": global_store_bytes") a.C.global_store_bytes
-    b.C.global_store_bytes;
-  check_int (name ^ ": global_transactions") a.C.global_transactions
-    b.C.global_transactions;
-  check_int (name ^ ": shared_load_bytes") a.C.shared_load_bytes
-    b.C.shared_load_bytes;
-  check_int (name ^ ": shared_store_bytes") a.C.shared_store_bytes
-    b.C.shared_store_bytes;
-  check_int (name ^ ": shared_bank_conflicts") a.C.shared_bank_conflicts
-    b.C.shared_bank_conflicts;
-  check_int (name ^ ": flops") a.C.flops b.C.flops;
-  check_int (name ^ ": tensor_core_flops") a.C.tensor_core_flops
-    b.C.tensor_core_flops;
-  check_int (name ^ ": instructions") a.C.instructions b.C.instructions;
-  Alcotest.(check (list (pair string int)))
-    (name ^ ": instr mix") (C.instr_mix_alist a) (C.instr_mix_alist b)
 
 (* ----- determinism across domain counts ----- *)
 
 let domain_counts = [ 2; 4; 7 ]
 
-(* Run the kernel at every domain count through both executor paths;
-   demand bit-identical counters, profiler report JSON, Chrome traces,
-   and output buffers against the 1-domain baseline. *)
+(* Run the kernel at 1 domain and at every domain count through both
+   executor paths; the oracle demands contract counters, profiler report
+   JSON, Chrome traces, and output buffers bit-identical to the
+   1-domain tree baseline. *)
 let check_domains ?(scalars = []) ?args name arch kernel =
-  let base_args =
+  let args =
     match args with
     | Some a -> a
     | None ->
@@ -65,41 +43,12 @@ let check_domains ?(scalars = []) ?args name arch kernel =
           (p.Ts.name, Ref.random_fp16 ~seed:(i + 1) (L.cosize p.Ts.layout)))
         kernel.Spec.params
   in
-  let machine = Gpu_sim.Machine.of_arch arch in
-  let plan = Pipeline.lower arch kernel in
-  let run_one runner ~domains =
-    let args = List.map (fun (n, a) -> (n, Array.copy a)) base_args in
-    let trace = Trace.create () in
-    let profiler = Profiler.create ~trace () in
-    let counters = runner ~profiler ~domains ~args in
-    let report = Profiler.report profiler ~kernel ~arch ~counters ~machine () in
-    (args, counters, Profiler.report_to_json report, Trace.to_chrome_string trace)
-  in
-  let plan_path ~profiler ~domains ~args =
-    Interp.run_plan ~profiler ~domains plan ~args ~scalars ()
-  in
-  let tree_path ~profiler ~domains ~args =
-    Interp.run_tree ~arch ~profiler ~domains kernel ~args ~scalars ()
-  in
-  let args1, c1, r1, t1 = run_one plan_path ~domains:1 in
-  let compare_against_baseline tag (argsn, cn, rn, tn) =
-    check_counters_equal tag c1 cn;
-    check_str (tag ^ ": profiler report JSON") r1 rn;
-    check_str (tag ^ ": chrome trace") t1 tn;
-    List.iter2
-      (fun (bn, x) (_, y) ->
-        check_bool (Printf.sprintf "%s: buffer %s bitwise" tag bn) true (x = y))
-      args1 argsn
-  in
-  List.iter
-    (fun domains ->
-      compare_against_baseline
-        (Printf.sprintf "%s: plan @ %d domains" name domains)
-        (run_one plan_path ~domains);
-      compare_against_baseline
-        (Printf.sprintf "%s: tree @ %d domains" name domains)
-        (run_one tree_path ~domains))
-    domain_counts
+  Oracle_check.check ~profile:true ~scalars name ~reference:kernel
+    (Pipeline.lower arch kernel) ~args
+    ((Interp.Bytecode, 1)
+    :: List.concat_map
+         (fun d -> [ (Interp.Bytecode, d); (Interp.Tree, d) ])
+         domain_counts)
 
 let test_par_gemm_tc () =
   (* m, n span several thread blocks (test_config tiles: 64x64 on SM86,
@@ -170,10 +119,10 @@ let test_counters_merge () =
   let a = C.create () in
   (* 32 lanes loading 4B each, stride 4: 128 contiguous bytes = 4 DRAM
      sectors. *)
-  C.record_global_batch a ~store:false ~bytes:4 (List.init 32 (fun i -> 4 * i));
+  C.record_global_batch a ~store:false ~bytes:4 (Array.init 32 (fun i -> 4 * i)) ~len:32;
   (* stride 128B: every lane hits bank 0 with a distinct word — a
      32-way conflict, 31 extra serialized cycles. *)
-  C.record_shared_batch a ~store:true ~bytes:4 (List.init 32 (fun i -> 128 * i));
+  C.record_shared_batch a ~store:true ~bytes:4 (Array.init 32 (fun i -> 128 * i)) ~len:32;
   a.C.flops <- 100;
   a.C.tensor_core_flops <- 64;
   C.add_instr a "hmma";
@@ -182,9 +131,9 @@ let test_counters_merge () =
   check_int "a: conflicts" 31 a.C.shared_bank_conflicts;
   let b = C.create () in
   (* stride 32B stores: 32 lanes over 1024 bytes = 32 sectors. *)
-  C.record_global_batch b ~store:true ~bytes:4 (List.init 32 (fun i -> 32 * i));
+  C.record_global_batch b ~store:true ~bytes:4 (Array.init 32 (fun i -> 32 * i)) ~len:32;
   (* broadcast: every lane reads the same word — free, no conflicts. *)
-  C.record_shared_batch b ~store:false ~bytes:4 (List.init 32 (fun _ -> 64));
+  C.record_shared_batch b ~store:false ~bytes:4 (Array.init 32 (fun _ -> 64)) ~len:32;
   b.C.flops <- 7;
   C.add_instr b "lds";
   C.add_instr b "ffma";
@@ -209,9 +158,12 @@ let test_counters_merge () =
     [ ("ffma", 1); ("hmma", 1); ("lds", 4) ]
     (C.instr_mix_alist dst);
   (* merge_list must equal pairwise merging, in any grouping. *)
-  check_counters_equal "merge_list [a; b]" dst (C.merge_list [ a; b ]);
-  check_counters_equal "merge_list [b; a]" dst (C.merge_list [ b; a ]);
-  check_counters_equal "merge_list []" (C.create ()) (C.merge_list [])
+  Oracle_check.counters ~ignore:[] "merge_list [a; b]" dst
+    (C.merge_list [ a; b ]);
+  Oracle_check.counters ~ignore:[] "merge_list [b; a]" dst
+    (C.merge_list [ b; a ]);
+  Oracle_check.counters ~ignore:[] "merge_list []" (C.create ())
+    (C.merge_list [])
 
 (* ----- Domain_pool.block_ranges ----- *)
 
@@ -282,10 +234,10 @@ let test_plan_cache () =
       let c_run = Interp.run ~arch kernel ~args:args_run ~scalars () in
       let args_tree = mk_args () in
       let c_tree = Interp.run_tree ~arch kernel ~args:args_tree ~scalars () in
-      let tag = Printf.sprintf "cached run %dx%dx%d" m n k in
-      check_counters_equal tag c_run c_tree;
-      check_bool (tag ^ ": output bitwise") true
-        (List.assoc "C" args_run = List.assoc "C" args_tree))
+      Oracle_check.same
+        (Printf.sprintf "cached run %dx%dx%d" m n k)
+        (Oracle_check.observed c_tree ~buffers:args_tree)
+        (Oracle_check.observed c_run ~buffers:args_run))
     [ (30, 20, 10); (25, 17, 8) ];
   let stats = Pipeline.cache_stats () in
   check_int "scalar variants share one lowering" 1 stats.Pipeline.misses;

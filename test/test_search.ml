@@ -101,26 +101,54 @@ let test_oracle_accepts_winner () =
   | None -> Alcotest.fail "no winner"
   | Some w -> check_bool "accept" true (S.verify_candidate machine w.S.sc.S.cand)
 
+(* Two tensor-core GEMMs that differ only in K. *)
+let gemm_k k =
+  let arch = Arch.SM86 in
+  let base = Kernels.Gemm.default_config arch in
+  Kernels.Gemm.tensor_core arch
+    { base with Kernels.Gemm.bm = 32; bn = 32; bk = 32; wm = 16; wn = 16 }
+    ~epilogue:Kernels.Epilogue.none ~m:64 ~n:64 ~k ()
+
 let test_oracle_rejects_mismatched_plan () =
   (* Hold candidate A's kernel to candidate B's plan: a decomposition
      that computes a different problem must fail the bitwise oracle. *)
-  let arch = Arch.SM86 in
-  let base = Kernels.Gemm.default_config arch in
-  let k64 =
-    Kernels.Gemm.tensor_core arch
-      { base with Kernels.Gemm.bm = 32; bn = 32; bk = 32; wm = 16; wn = 16 }
-      ~epilogue:Kernels.Epilogue.none ~m:64 ~n:64 ~k:64 ()
-  in
-  let k128 =
-    Kernels.Gemm.tensor_core arch
-      { base with Kernels.Gemm.bm = 32; bn = 32; bk = 32; wm = 16; wn = 16 }
-      ~epilogue:Kernels.Epilogue.none ~m:64 ~n:64 ~k:128 ()
-  in
-  let plan64, _ = Lower.Pipeline.lower_cached arch k64 ~stages:1 in
-  let plan128, _ = Lower.Pipeline.lower_cached arch k128 ~stages:1 in
+  let k64 = gemm_k 64 and k128 = gemm_k 128 in
+  let plan64, _ = Lower.Pipeline.lower_cached Arch.SM86 k64 ~stages:1 in
+  let plan128, _ = Lower.Pipeline.lower_cached Arch.SM86 k128 ~stages:1 in
   check_bool "accepts the matching plan" true (S.verify_plan k64 plan64);
   check_bool "rejects the mismatched plan" false (S.verify_plan k128 plan64);
   check_bool "rejects the mismatched kernel" false (S.verify_plan k64 plan128)
+
+(* The oracle says what diverged, not just that something did: the
+   mismatched plan's run names at least one counter field and the
+   output buffer. *)
+let test_oracle_names_mismatches () =
+  let k128 = gemm_k 128 in
+  let plan64, _ = Lower.Pipeline.lower_cached Arch.SM86 (gemm_k 64) ~stages:1 in
+  let args =
+    List.mapi
+      (fun i (p : Gpu_tensor.Tensor.t) ->
+        ( p.Gpu_tensor.Tensor.name
+        , Reference.Cpu_ref.random_fp16 ~seed:(i + 1)
+            (Shape.Layout.cosize p.Gpu_tensor.Tensor.layout) ))
+      k128.Graphene.Spec.params
+  in
+  match
+    Gpu_sim.Oracle.check ~reference:k128 plan64 ~args
+      [ (Gpu_sim.Interp.Bytecode, 1) ]
+  with
+  | [ (_, _, mismatches) ] ->
+    let named = List.map Gpu_sim.Oracle.mismatch_to_string mismatches in
+    let has p = List.exists p mismatches in
+    check_bool
+      ("a counter field is named: " ^ String.concat "; " named)
+      true
+      (has (function
+        | Gpu_sim.Oracle.Counter ("tensor_core_flops", _, _) -> true
+        | _ -> false));
+    check_bool "the output buffer is named" true
+      (has (function Gpu_sim.Oracle.Buffer "C" -> true | _ -> false))
+  | _ -> Alcotest.fail "expected exactly one run"
 
 (* ----- the FMHA space ----- *)
 
@@ -259,6 +287,8 @@ let () =
       , [ Alcotest.test_case "accepts winner" `Quick test_oracle_accepts_winner
         ; Alcotest.test_case "rejects mismatch" `Quick
             test_oracle_rejects_mismatched_plan
+        ; Alcotest.test_case "names what diverged" `Quick
+            test_oracle_names_mismatches
         ] )
     ; ( "fmha"
       , [ Alcotest.test_case "space searches and verifies" `Quick

@@ -12,34 +12,12 @@ module Admission = Serve.Admission
 module Engine = Serve.Engine
 module Metrics = Serve.Metrics
 module Interp = Gpu_sim.Interp
-module C = Gpu_sim.Counters
 module T = Workloads.Transformer
 module Ref = Reference.Cpu_ref
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
-
-(* Full bitwise equality — including the request/vectorization counters
-   and the instruction mix (both engine and direct path run the same
-   vectorized plan, so nothing may differ). *)
-let counters_equal (a : C.t) (b : C.t) =
-  a.C.global_load_bytes = b.C.global_load_bytes
-  && a.C.global_store_bytes = b.C.global_store_bytes
-  && a.C.global_transactions = b.C.global_transactions
-  && a.C.shared_load_bytes = b.C.shared_load_bytes
-  && a.C.shared_store_bytes = b.C.shared_store_bytes
-  && a.C.shared_bank_conflicts = b.C.shared_bank_conflicts
-  && a.C.flops = b.C.flops
-  && a.C.tensor_core_flops = b.C.tensor_core_flops
-  && a.C.instructions = b.C.instructions
-  && a.C.global_requests = b.C.global_requests
-  && a.C.global_vec_requests = b.C.global_vec_requests
-  && a.C.global_vec_bytes = b.C.global_vec_bytes
-  && a.C.shared_requests = b.C.shared_requests
-  && a.C.shared_vec_requests = b.C.shared_vec_requests
-  && a.C.shared_vec_bytes = b.C.shared_vec_bytes
-  && C.instr_mix_alist a = C.instr_mix_alist b
 
 let mk ?(model = "test") ?(arch = Arch.SM86) ~id ~arrival kind =
   { Req.id
@@ -220,17 +198,13 @@ let test_engine_bit_identity () =
         Interp.run ~arch:r.Req.spec.Req.arch ~domains:1 (Req.kernel r) ~args
           ~scalars:(Req.scalars r) ()
       in
-      let label = Format.asprintf "%a" Req.pp r in
-      check_bool
-        (Printf.sprintf "counters bit-identical: %s" label)
-        true
-        (counters_equal counters c.Engine.counters);
-      check_bool
-        (Printf.sprintf "buffers bit-identical: %s" label)
-        true
-        (List.for_all2
-           (fun (na, xa) (nb, xb) -> String.equal na nb && xa = xb)
-           args c.Engine.buffers))
+      (* Both paths run the same vectorized plan, so nothing may differ:
+         every counter field, the request group and the instruction mix
+         included, and every buffer. *)
+      Oracle_check.same ~ignore:[]
+        (Format.asprintf "batched vs solo %a" Req.pp r)
+        (Oracle_check.observed counters ~buffers:args)
+        (Oracle_check.observed c.Engine.counters ~buffers:c.Engine.buffers))
     result.Engine.completed
 
 (* Every served output against the CPU reference, within the repo's fp16

@@ -56,7 +56,7 @@ let test_tile_coords () =
   Alcotest.(check (list (list int)))
     "colex order, m fastest"
     [ [ 0; 0 ]; [ 1; 0 ]; [ 0; 1 ]; [ 1; 1 ] ]
-    (List.init 4 (Sem.tile_coords [ 2; 2 ]))
+    (List.init 4 (Lower.Pipeline.tile_coords [ 2; 2 ]))
 
 (* ----- counters ----- *)
 
@@ -65,46 +65,46 @@ let test_coalescing () =
   (* 32 threads each load 4 consecutive bytes from one 128-byte line:
      4 sectors. *)
   Counters.record_global_batch c ~store:false ~bytes:4
-    (List.init 32 (fun i -> i * 4));
+    (Array.init 32 (fun i -> i * 4)) ~len:32;
   check_int "coalesced sectors" 4 c.Counters.global_transactions;
   Counters.reset c;
   (* Strided access: one sector per thread. *)
   Counters.record_global_batch c ~store:false ~bytes:4
-    (List.init 32 (fun i -> i * 128));
+    (Array.init 32 (fun i -> i * 128)) ~len:32;
   check_int "strided sectors" 32 c.Counters.global_transactions
 
 let test_bank_conflicts () =
   let c = Counters.create () in
   (* 32 threads reading consecutive 4-byte words: conflict-free. *)
   Counters.record_shared_batch c ~store:false ~bytes:4
-    (List.init 32 (fun i -> i * 4));
+    (Array.init 32 (fun i -> i * 4)) ~len:32;
   check_int "conflict free" 0 c.Counters.shared_bank_conflicts;
   Counters.reset c;
   (* All threads hit bank 0 with distinct words: 31 extra cycles. *)
   Counters.record_shared_batch c ~store:false ~bytes:4
-    (List.init 32 (fun i -> i * 128));
+    (Array.init 32 (fun i -> i * 128)) ~len:32;
   check_int "32-way conflict" 31 c.Counters.shared_bank_conflicts;
   Counters.reset c;
   (* Broadcast (same word) is free. *)
   Counters.record_shared_batch c ~store:false ~bytes:4
-    (List.init 32 (fun _ -> 64));
+    (Array.init 32 (fun _ -> 64)) ~len:32;
   check_int "broadcast free" 0 c.Counters.shared_bank_conflicts
 
 let test_global_sector_edges () =
   (* A misaligned 4-byte access straddling a 32-byte boundary touches two
      sectors. *)
-  check_int "straddles boundary" 2 (Counters.sectors_of_batch ~bytes:4 [ 30 ]);
+  check_int "straddles boundary" 2 (Counters.sectors_of_batch ~bytes:4 [| 30 |] ~len:1);
   (* A full-warp broadcast of one address coalesces into one sector. *)
   check_int "duplicates coalesce" 1
-    (Counters.sectors_of_batch ~bytes:4 (List.init 32 (fun _ -> 0)));
+    (Counters.sectors_of_batch ~bytes:4 (Array.init 32 (fun _ -> 0)) ~len:32);
   (* 16-byte vector loads, fully coalesced: 32 x 16 B = 16 sectors. *)
   check_int "wide coalesced" 16
-    (Counters.sectors_of_batch ~bytes:16 (List.init 32 (fun i -> i * 16)));
-  check_int "empty batch" 0 (Counters.sectors_of_batch ~bytes:4 []);
+    (Counters.sectors_of_batch ~bytes:16 (Array.init 32 (fun i -> i * 16)) ~len:32);
+  check_int "empty batch" 0 (Counters.sectors_of_batch ~bytes:4 [||] ~len:0);
   (* record_global_batch books the bytes on the store side only. *)
   let c = Counters.create () in
   Counters.record_global_batch c ~store:true ~bytes:4
-    (List.init 32 (fun i -> i * 4));
+    (Array.init 32 (fun i -> i * 4)) ~len:32;
   check_int "store bytes" 128 c.Counters.global_store_bytes;
   check_int "no load bytes" 0 c.Counters.global_load_bytes;
   check_int "store sectors" 4 c.Counters.global_transactions
@@ -113,35 +113,35 @@ let test_shared_broadcast_edges () =
   (* A broadcast word alongside one distinct word in the same bank: only
      the distinct words count, so degree 2 -> 1 extra cycle. *)
   check_int "broadcast + 1 distinct" 1
-    (Counters.conflicts_of_batch ~bytes:4 (128 :: List.init 31 (fun _ -> 0)));
+    (Counters.conflicts_of_batch ~bytes:4 (Array.init 32 (fun i -> if i = 0 then 128 else 0)) ~len:32);
   (* Two broadcast groups hitting two different banks are free. *)
   check_int "two broadcasts, two banks" 0
     (Counters.conflicts_of_batch ~bytes:4
-       (List.init 32 (fun i -> if i < 16 then 0 else 4)));
+       (Array.init 32 (fun i -> if i < 16 then 0 else 4)) ~len:32);
   (* All 32 lanes broadcasting one 16-byte vector: every phase reads the
      same four words -> free. *)
   check_int "wide broadcast free" 0
-    (Counters.conflicts_of_batch ~bytes:16 (List.init 32 (fun _ -> 0)));
+    (Counters.conflicts_of_batch ~bytes:16 (Array.init 32 (fun _ -> 0)) ~len:32);
   (* 8-byte accesses split into phases of 16 lanes; consecutive vectors
      are conflict-free within each phase. *)
   check_int "8-byte phases conflict-free" 0
-    (Counters.conflicts_of_batch ~bytes:8 (List.init 32 (fun i -> i * 8)));
+    (Counters.conflicts_of_batch ~bytes:8 (Array.init 32 (fun i -> i * 8)) ~len:32);
   (* 8-byte accesses where each 16-lane phase hits banks 0-15 twice with
      distinct words: 1 extra cycle per phase, 2 phases. *)
   check_int "8-byte 2-way per phase" 2
     (Counters.conflicts_of_batch ~bytes:8
-       (List.init 32 (fun i -> ((i mod 8) * 8) + (i / 8 * 128))));
+       (Array.init 32 (fun i -> ((i mod 8) * 8) + (i / 8 * 128))) ~len:32);
   (* record_shared_batch books the bytes on the store side only. *)
   let c = Counters.create () in
   Counters.record_shared_batch c ~store:true ~bytes:4
-    (List.init 32 (fun i -> i * 128));
+    (Array.init 32 (fun i -> i * 128)) ~len:32;
   check_int "store bytes" 128 c.Counters.shared_store_bytes;
   check_int "no load bytes" 0 c.Counters.shared_load_bytes;
   check_int "store conflicts" 31 c.Counters.shared_bank_conflicts
 
 (* ----- batch counts against the original algorithm -----
 
-   [sectors_of_batcha] / [conflicts_of_batcha] count in per-domain
+   [sectors_of_batch] / [conflicts_of_batch] count in per-domain
    scratch (gather, sort, dedup). The reference below is the original
    hash-set / per-bank-list formulation they replaced; on any batch the
    two must agree exactly. *)
@@ -204,10 +204,8 @@ let print_batch (bytes, addrs) =
 let batch_counts_agree (bytes, addrs) =
   let len = List.length addrs in
   let a = Array.append (Array.of_list addrs) [| 7; 4099; 12_345 |] in
-  Counters.sectors_of_batcha ~bytes a ~len = ref_sectors ~bytes a ~len
-  && Counters.conflicts_of_batcha ~bytes a ~len = ref_conflicts ~bytes a ~len
-  && Counters.sectors_of_batch ~bytes addrs = ref_sectors ~bytes a ~len
-  && Counters.conflicts_of_batch ~bytes addrs = ref_conflicts ~bytes a ~len
+  Counters.sectors_of_batch ~bytes a ~len = ref_sectors ~bytes a ~len
+  && Counters.conflicts_of_batch ~bytes a ~len = ref_conflicts ~bytes a ~len
 
 let prop_batch_counts =
   QCheck.Test.make ~count:2000

@@ -74,68 +74,6 @@ let mlp () =
   Kernels.Mlp.kernel Arch.SM86 ~m:64 ~width:64 ~layers:2 ~bm:64 ~wm:32
     ~wn:32 ()
 
-(* ----- counter equality ----- *)
-
-(* The widening-independent set: traffic, sectors, conflicts, flops,
-   instructions and the instruction mix are defined per element batch, so
-   they are invariant across engines as well as across pipelining.
-   [async_copies] is recorded at issue (the pipeline moves *when* copies
-   land, never how many are issued), so it belongs here too. *)
-let check_base_equal name (a : C.t) (b : C.t) =
-  check_int (name ^ ": global_load_bytes") a.C.global_load_bytes
-    b.C.global_load_bytes;
-  check_int (name ^ ": global_store_bytes") a.C.global_store_bytes
-    b.C.global_store_bytes;
-  check_int (name ^ ": global_transactions") a.C.global_transactions
-    b.C.global_transactions;
-  check_int (name ^ ": shared_load_bytes") a.C.shared_load_bytes
-    b.C.shared_load_bytes;
-  check_int (name ^ ": shared_store_bytes") a.C.shared_store_bytes
-    b.C.shared_store_bytes;
-  check_int (name ^ ": shared_bank_conflicts") a.C.shared_bank_conflicts
-    b.C.shared_bank_conflicts;
-  check_int (name ^ ": flops") a.C.flops b.C.flops;
-  check_int (name ^ ": tensor_core_flops") a.C.tensor_core_flops
-    b.C.tensor_core_flops;
-  check_int (name ^ ": instructions") a.C.instructions b.C.instructions;
-  check_int (name ^ ": async_copies") a.C.async_copies b.C.async_copies;
-  Alcotest.(check (list (pair string int)))
-    (name ^ ": instr mix") (C.instr_mix_alist a) (C.instr_mix_alist b)
-
-(* The full pre-existing set, including the request counters and the
-   vectorized shares. Those depend on the plan-level vectorize pass (the
-   Tree engine re-interprets the Spec, where moves are still scalar — see
-   test_bytecode.ml), so this comparison is only meaningful between runs
-   on the SAME engine. *)
-let check_pre_equal name (a : C.t) (b : C.t) =
-  check_base_equal name a b;
-  check_int (name ^ ": global_requests") a.C.global_requests
-    b.C.global_requests;
-  check_int (name ^ ": global_vec_requests") a.C.global_vec_requests
-    b.C.global_vec_requests;
-  check_int (name ^ ": global_vec_bytes") a.C.global_vec_bytes
-    b.C.global_vec_bytes;
-  check_int (name ^ ": shared_requests") a.C.shared_requests
-    b.C.shared_requests;
-  check_int (name ^ ": shared_vec_requests") a.C.shared_vec_requests
-    b.C.shared_vec_requests;
-  check_int (name ^ ": shared_vec_bytes") a.C.shared_vec_bytes
-    b.C.shared_vec_bytes
-
-let check_async_equal name (a : C.t) (b : C.t) =
-  check_int (name ^ ": async_commits") a.C.async_commits b.C.async_commits;
-  check_int (name ^ ": async_waits") a.C.async_waits b.C.async_waits;
-  check_int (name ^ ": async_inflight_sum") a.C.async_inflight_sum
-    b.C.async_inflight_sum;
-  check_int (name ^ ": async_max_inflight") a.C.async_max_inflight
-    b.C.async_max_inflight
-
-let check_buffers name a b =
-  List.iter2
-    (fun (bn, x) (_, y) ->
-      check_bool (Printf.sprintf "%s: buffer %s bitwise" name bn) true (x = y))
-    a b
-
 (* ----- bit-identity: pipelined vs unpipelined, both engines ----- *)
 
 let mk_args kernel =
@@ -145,30 +83,27 @@ let mk_args kernel =
     kernel.Spec.params
 
 (* The Tree engine re-interprets the plan's (rewritten) Spec kernel, so
-   running the pipelined plan on Tree/Bytecode exercises the
-   rotated schedule through both semantics. The unpipelined plan
-   doubles as the tree-walk baseline: a 1-stage lowering leaves the
-   kernel untouched, so its Tree run IS the reference interpreter on the
-   original kernel. *)
+   running the pipelined plan on Tree/Bytecode exercises the rotated
+   schedule through both semantics. Each plan is held to the oracle's
+   tree walk of its own kernel — for the 1-stage plan that is the
+   untouched source kernel — on both engines, in every counter except
+   the request group (the Tree engine skips the plan-level vectorize
+   widening): the async queue counters the pipeline moved must agree
+   across engines too. [async_copies] is booked at issue (the pipeline
+   moves *when* copies land, never how many are issued), so it is
+   compared everywhere. *)
 let check_identity ?(domains = 1) ~expect_pipelined name arch mk =
   let kernel = mk () in
-  let base = mk_args kernel in
-  let run plan engine =
-    let args = List.map (fun (n, a) -> (n, Array.copy a)) base in
-    let counters = Interp.run_plan ~domains ~engine plan ~args () in
-    (args, counters)
+  let args = mk_args kernel in
+  let runs = [ (Interp.Tree, domains); (Interp.Bytecode, domains) ] in
+  let schedule tag plan =
+    Oracle_check.run ~ignore:C.request_fields tag ~reference:plan.Plan.kernel
+      plan ~args runs
   in
-  let engines = [ Interp.Tree; Interp.Bytecode ] in
   let uplan = Pipeline.lower ~stages:1 arch kernel in
   check_int (name ^ ": unpipelined pl_stages") 1
     uplan.Plan.pipelining.Plan.pl_stages;
-  (* Per-engine unpipelined baselines: the Tree run of the 1-stage plan
-     IS the reference interpreter on the untouched source kernel. *)
-  let ubase =
-    List.map
-      (fun engine -> (Interp.engine_name engine, run uplan engine))
-      engines
-  in
+  let ubase = schedule (name ^ " @1 stage") uplan in
   List.iter
     (fun stages ->
       let pplan = Pipeline.lower ~stages arch kernel in
@@ -182,37 +117,17 @@ let check_identity ?(domains = 1) ~expect_pipelined name arch mk =
         check_int
           (Printf.sprintf "%s: refused at request %d" name stages)
           1 eff;
-      let runs =
-        List.map
-          (fun engine -> (Interp.engine_name engine, run pplan engine))
-          engines
-      in
-      (* Pipelined vs unpipelined, same engine: every pre-existing
-         counter and every output buffer must be bit-identical — only
-         the four queue-depth counters may move. *)
+      let piped = schedule (Printf.sprintf "%s @%d stages" name stages) pplan in
+      (* Pipelined vs unpipelined, same engine: every counter and every
+         output buffer must be bit-identical — only the four queue-depth
+         counters may move. *)
       List.iter2
-        (fun (ename, (uargs, uc)) (_, (eargs, ec)) ->
-          let tag = Printf.sprintf "%s @%d stages, %s" name stages ename in
-          check_pre_equal tag uc ec;
-          check_buffers tag uargs eargs)
-        ubase runs;
-      (* Across engines the request counters differ by design (the Tree
-         engine skips the plan-level vectorize widening), but the two
-         engines must agree on the widening-independent set AND on the
-         queue counters the pipeline legitimately moved. *)
-      match runs with
-      | (_, (args0, c0)) :: rest ->
-        List.iter
-          (fun (ename, (args, c)) ->
-            let tag =
-              Printf.sprintf "%s @%d stages: %s vs tree engine" name stages
-                ename
-            in
-            check_base_equal tag c0 c;
-            check_async_equal tag c0 c;
-            check_buffers tag args0 args)
-          rest
-      | [] -> ())
+        (fun ((engine, _), u) p ->
+          Oracle_check.same ~ignore:C.queue_fields
+            (Printf.sprintf "%s @%d stages, %s vs 1 stage" name stages
+               (Interp.engine_name engine))
+            u p)
+        (List.combine runs ubase) piped)
     [ 2; 3 ]
 
 let pipelining_families =

@@ -27,7 +27,6 @@ module Arch = Graphene.Arch
 module Spec = Graphene.Spec
 module C = Gpu_sim.Counters
 module Interp = Gpu_sim.Interp
-module Profiler = Gpu_sim.Profiler
 module Pipeline = Lower.Pipeline
 module Plan = Lower.Plan
 module V = Lower.Vectorize
@@ -181,49 +180,15 @@ let test_disabled_lowering () =
 
 (* ----- bit-identity: widened vs scalar-forced vs tree ----- *)
 
-let check_counters_v3_equal name (a : C.t) (b : C.t) =
-  check_int (name ^ ": global_load_bytes") a.C.global_load_bytes
-    b.C.global_load_bytes;
-  check_int (name ^ ": global_store_bytes") a.C.global_store_bytes
-    b.C.global_store_bytes;
-  check_int (name ^ ": global_transactions") a.C.global_transactions
-    b.C.global_transactions;
-  check_int (name ^ ": shared_load_bytes") a.C.shared_load_bytes
-    b.C.shared_load_bytes;
-  check_int (name ^ ": shared_store_bytes") a.C.shared_store_bytes
-    b.C.shared_store_bytes;
-  check_int (name ^ ": shared_bank_conflicts") a.C.shared_bank_conflicts
-    b.C.shared_bank_conflicts;
-  check_int (name ^ ": flops") a.C.flops b.C.flops;
-  check_int (name ^ ": tensor_core_flops") a.C.tensor_core_flops
-    b.C.tensor_core_flops;
-  check_int (name ^ ": instructions") a.C.instructions b.C.instructions;
-  Alcotest.(check (list (pair string int)))
-    (name ^ ": instr mix") (C.instr_mix_alist a) (C.instr_mix_alist b)
-
-let check_counters_all_equal name (a : C.t) (b : C.t) =
-  check_counters_v3_equal name a b;
-  check_int (name ^ ": global_requests") a.C.global_requests
-    b.C.global_requests;
-  check_int (name ^ ": global_vec_requests") a.C.global_vec_requests
-    b.C.global_vec_requests;
-  check_int (name ^ ": global_vec_bytes") a.C.global_vec_bytes
-    b.C.global_vec_bytes;
-  check_int (name ^ ": shared_requests") a.C.shared_requests
-    b.C.shared_requests;
-  check_int (name ^ ": shared_vec_requests") a.C.shared_vec_requests
-    b.C.shared_vec_requests;
-  check_int (name ^ ": shared_vec_bytes") a.C.shared_vec_bytes
-    b.C.shared_vec_bytes
-
-(* Run the kernel through the tree walk, the scalar-forced plan and the
-   widened plan with identical inputs. The widened plan must be
-   bit-identical to the scalar plan in outputs, v3 counters, instruction
-   mix and profiler JSON — only the request counters may (and, when
-   anything widened memory traffic, must) differ. The scalar-forced plan
-   must match the tree walk in EVERY field, requests included. *)
+(* Run the scalar-forced and the widened plan against the tree walk with
+   identical inputs. The scalar-forced plan must match the tree walk in
+   EVERY field, requests included; the widened plan must match it (and
+   the scalar plan) under the oracle's contract — outputs, counters,
+   instruction mix, profiler JSON and trace — where only the request
+   counters may (and, when anything widened memory traffic, must)
+   differ. *)
 let check_identity ?args ?(scalars = []) ?(domains = 1) name arch kernel =
-  let base_args =
+  let args =
     match args with
     | Some a -> a
     | None ->
@@ -232,41 +197,19 @@ let check_identity ?args ?(scalars = []) ?(domains = 1) name arch kernel =
           (p.Ts.name, Ref.random_fp16 ~seed:(i + 1) (L.cosize p.Ts.layout)))
         kernel.Spec.params
   in
-  let machine = Gpu_sim.Machine.of_arch arch in
-  let run_path runner =
-    let args = List.map (fun (n, a) -> (n, Array.copy a)) base_args in
-    let profiler = Profiler.create () in
-    let counters = runner ~profiler ~args in
-    let report = Profiler.report profiler ~kernel ~arch ~counters ~machine () in
-    (args, counters, Profiler.report_to_json report)
+  let run ?ignore tag plan =
+    List.hd
+      (Oracle_check.run ~profile:true ?ignore ~scalars
+         (Printf.sprintf "%s: %s plan vs tree" name tag)
+         ~reference:kernel plan ~args
+         [ (Interp.Bytecode, domains) ])
   in
-  let targs, tc, tj =
-    run_path (fun ~profiler ~args ->
-        Interp.run_tree ~arch ~profiler ~domains kernel ~args ~scalars ())
-  in
-  let splan = Pipeline.lower ~vectorize:false arch kernel in
-  let sargs, sc, sj =
-    run_path (fun ~profiler ~args ->
-        Interp.run_plan ~profiler ~domains splan ~args ~scalars ())
-  in
+  let scalar = run ~ignore:[] "scalar" (Pipeline.lower ~vectorize:false arch kernel) in
   let vplan = Pipeline.lower ~vectorize:true arch kernel in
-  let vargs, vc, vj =
-    run_path (fun ~profiler ~args ->
-        Interp.run_plan ~profiler ~domains vplan ~args ~scalars ())
-  in
-  let buffers tag a b =
-    List.iter2
-      (fun (bn, x) (_, y) ->
-        check_bool (Printf.sprintf "%s: %s buffer %s bitwise" name tag bn) true
-          (x = y))
-      a b
-  in
-  check_counters_all_equal (name ^ ": scalar plan vs tree") tc sc;
-  check_str (name ^ ": scalar plan report JSON") tj sj;
-  buffers "scalar" targs sargs;
-  check_counters_v3_equal (name ^ ": widened vs scalar plan") sc vc;
-  check_str (name ^ ": widened plan report JSON") sj vj;
-  buffers "widened" sargs vargs;
+  let widened = run "widened" vplan in
+  Oracle_check.same (name ^ ": widened vs scalar plan") scalar widened;
+  let sc = scalar.Gpu_sim.Oracle.counters
+  and vc = widened.Gpu_sim.Oracle.counters in
   (* Widening can only reduce the request count, never the traffic. *)
   check_bool (name ^ ": fewer or equal global requests") true
     (vc.C.global_requests <= sc.C.global_requests);
@@ -274,9 +217,9 @@ let check_identity ?args ?(scalars = []) ?(domains = 1) name arch kernel =
     (vc.C.shared_requests <= sc.C.shared_requests);
   check_int (name ^ ": scalar plan has no vectorized requests") 0
     (sc.C.global_vec_requests + sc.C.shared_vec_requests);
-  let widened, _ = Plan.vec_counts vplan.Plan.body in
-  if widened = 0 then
-    check_counters_all_equal (name ^ ": nothing widened") sc vc
+  let widened_moves, _ = Plan.vec_counts vplan.Plan.body in
+  if widened_moves = 0 then
+    Oracle_check.same ~ignore:[] (name ^ ": nothing widened") scalar widened
 
 let families =
   [ ("gemm-tc sm86", Arch.SM86, (fun () -> gemm_tc Arch.SM86), None, [])
@@ -478,20 +421,20 @@ let test_widened_sectors () =
   (* 2-wide fp16 (4 B/thread), full warp, unit stride: 32 x 4 B = one
      128 B stretch = 4 sectors. *)
   check_int "v2 full warp" 4
-    (C.sectors_of_batch ~bytes:4 (List.init 32 (fun l -> l * 4)));
+    (C.sectors_of_batch ~bytes:4 (Array.init 32 (fun l -> l * 4)) ~len:32);
   (* 4-wide fp16 (8 B/thread), full warp: 256 B = 8 sectors. *)
   check_int "v4 full warp" 8
-    (C.sectors_of_batch ~bytes:8 (List.init 32 (fun l -> l * 8)));
+    (C.sectors_of_batch ~bytes:8 (Array.init 32 (fun l -> l * 8)) ~len:32);
   (* Broadcast: every lane reads the same 8 B vector inside one sector. *)
   check_int "v4 broadcast" 1
-    (C.sectors_of_batch ~bytes:8 (List.init 32 (fun _ -> 64)));
+    (C.sectors_of_batch ~bytes:8 (Array.init 32 (fun _ -> 64)) ~len:32);
   (* Partial mask: 7 live lanes cover [0, 56) = 2 sectors. *)
   check_int "v4 partial mask" 2
-    (C.sectors_of_batch ~bytes:8 (List.init 7 (fun l -> l * 8)));
+    (C.sectors_of_batch ~bytes:8 (Array.init 7 (fun l -> l * 8)) ~len:7);
   (* The recording entry point books bytes * lanes and those sectors. *)
   let c = C.create () in
   C.record_global_batch c ~store:false ~bytes:8
-    (List.init 7 (fun l -> l * 8));
+    (Array.init 7 (fun l -> l * 8)) ~len:7;
   check_int "partial mask: load bytes" 56 c.C.global_load_bytes;
   check_int "partial mask: transactions" 2 c.C.global_transactions
 
@@ -511,7 +454,7 @@ let test_conflicts_no_drift () =
         let addrs = Array.init len (fun _ -> rand 4096 * 2) in
         check_int
           (Printf.sprintf "bytes %d len %d" bytes len)
-          (C.conflicts_of_batcha ~bytes addrs ~len)
+          (C.conflicts_of_batch ~bytes addrs ~len)
           (V.conflicts_of_addrs ~bytes addrs)
       done)
     [ 2; 4; 8; 16 ]
