@@ -11,13 +11,15 @@ let figure_tests =
       (Staged.stage (fun () -> List.length Graphene.Atomic.registry))
   ; Test.make ~name:"fig1_ldmatrix"
       (Staged.stage (fun () ->
-           Codegen.Emit.cuda Graphene.Arch.SM86
-             (Kernels.Ldmatrix_demo.kernel ())))
+           Codegen.Emit.cuda
+             (Lower.Pipeline.lower Graphene.Arch.SM86
+                (Kernels.Ldmatrix_demo.kernel ()))))
   ; Test.make ~name:"fig8_codegen"
       (Staged.stage (fun () ->
-           Codegen.Emit.cuda Graphene.Arch.SM86
-             (Kernels.Gemm.naive ~m:1024 ~n:1024 ~k:1024 ~bm:128 ~bn:128
-                ~tm:8 ~tn:8 ())))
+           Codegen.Emit.cuda
+             (Lower.Pipeline.lower Graphene.Arch.SM86
+                (Kernels.Gemm.naive ~m:1024 ~n:1024 ~k:1024 ~bm:128 ~bn:128
+                   ~tm:8 ~tn:8 ()))))
   ; Test.make ~name:"fig9_gemm"
       (Staged.stage (fun () -> Experiments.Figures.fig9 ()))
   ; Test.make ~name:"fig10_epilogues"

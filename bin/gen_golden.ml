@@ -1,20 +1,25 @@
+let write path contents =
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc
+
+let cuda ?stages kernel =
+  Codegen.Emit.cuda (Lower.Pipeline.lower ?stages Graphene.Arch.SM86 kernel)
+
 let () =
   let fig8 = Kernels.Gemm.naive ~m:1024 ~n:1024 ~k:1024 ~bm:128 ~bn:128 ~tm:8 ~tn:8 () in
-  let oc = open_out "test/golden/fig8_sm86.cu" in
-  output_string oc (Codegen.Emit.cuda Graphene.Arch.SM86 fig8);
-  close_out oc;
-  let ld = Kernels.Ldmatrix_demo.kernel () in
-  let oc = open_out "test/golden/ldmatrix_sm86.cu" in
-  output_string oc (Codegen.Emit.cuda Graphene.Arch.SM86 ld);
-  close_out oc;
-  let tc =
+  write "test/golden/fig8_sm86.cu" (cuda fig8);
+  write "test/golden/ldmatrix_sm86.cu" (cuda (Kernels.Ldmatrix_demo.kernel ()));
+  let tc ~epilogue ~k =
     Kernels.Gemm.tensor_core Graphene.Arch.SM86
       (Kernels.Gemm.test_config Graphene.Arch.SM86)
-      ~epilogue:Kernels.Epilogue.bias_relu ~m:64 ~n:64 ~k:32 ()
+      ~epilogue ~m:64 ~n:64 ~k ()
   in
-  let oc = open_out "test/golden/gemm_tc_sm86.cu" in
-  output_string oc (Codegen.Emit.cuda Graphene.Arch.SM86 tc);
-  close_out oc;
+  write "test/golden/gemm_tc_sm86.cu"
+    (cuda (tc ~epilogue:Kernels.Epilogue.bias_relu ~k:32));
+  (* The CLI's gemm-tc, software-pipelined at 3 stages. *)
+  write "test/golden/gemm_tc_sm86_stages3.cu"
+    (cuda ~stages:3 (tc ~epilogue:Kernels.Epilogue.none ~k:128));
   (* Golden profiler report — must mirror profile_gemm in
      test/test_profiler.ml: same kernel, zero-filled inputs. *)
   let arch = Graphene.Arch.SM86 in
@@ -36,6 +41,5 @@ let () =
     Gpu_sim.Profiler.report profiler ~kernel ~arch ~counters
       ~machine:(Gpu_sim.Machine.of_arch arch) ()
   in
-  let oc = open_out "test/golden/profile_gemm_tc_sm86.json" in
-  output_string oc (Gpu_sim.Profiler.report_to_json report);
-  close_out oc
+  write "test/golden/profile_gemm_tc_sm86.json"
+    (Gpu_sim.Profiler.report_to_json report)

@@ -215,9 +215,14 @@ let codegen_cmd =
     | problems ->
       prerr_endline (String.concat "\n" problems);
       exit 1);
-    print_string (Codegen.Emit.cuda arch kernel)
+    print_string (Codegen.Emit.cuda (Lower.Pipeline.lower arch kernel))
   in
-  Cmd.v (Cmd.info "codegen" ~doc:"Print the generated CUDA C++ of a kernel.")
+  Cmd.v
+    (Cmd.info "codegen"
+       ~doc:
+         "Print the CUDA C++ of a kernel's lowered plan: the plan \
+          $(b,simulate) runs (\\$GRAPHENE_SWPIPE_STAGES sets its \
+          software-pipelining depth).")
     Term.(const run $ arch_arg $ kernel_arg)
 
 let lower_cmd =
@@ -267,13 +272,6 @@ let lower_cmd =
       (Array.length bc.Lower.Plan.bc_atomics)
       plan.Lower.Plan.nslots
       (List.length plan.Lower.Plan.allocs);
-    let widened, moves = Lower.Plan.vec_counts bc in
-    Format.printf "vectorize%s: %d of %d per-thread move(s) widened"
-      (if plan.Lower.Plan.vec_enabled then "" else " (disabled)")
-      widened moves;
-    (match Lower.Plan.global_vec_width bc with
-    | Some w -> Format.printf ", mean global width %.2f@." w
-    | None -> Format.printf "@.");
     let flagged, cycles = Lower.Plan.bank_warning_counts bc in
     if flagged > 0 then
       Format.printf
@@ -320,26 +318,6 @@ let domains_arg =
            domain count). Results are bit-identical at every domain count; \
            see docs/PARALLELISM.md.")
 
-let engine_conv =
-  Arg.conv
-    ( (fun s ->
-        match Gpu_sim.Interp.engine_of_string s with
-        | Some e -> Ok e
-        | None -> Error (`Msg "expected tree|bytecode")),
-      fun fmt e -> Format.pp_print_string fmt (Gpu_sim.Interp.engine_name e) )
-
-let engine_arg =
-  Arg.(
-    value
-    & opt (some engine_conv) None
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Plan execution engine: $(b,bytecode) (the flattened \
-           instruction-array executor) or $(b,tree) (symbolic \
-           re-interpretation of the kernel, the reference semantics). \
-           Default: bytecode. Both produce bit-identical results; see \
-           docs/LOWERING.md.")
-
 let simulate_cmd =
   let check =
     Arg.(
@@ -353,7 +331,7 @@ let simulate_cmd =
              contract counters, profiler report, Chrome trace and output \
              buffers. Prints every mismatch; exits non-zero on any.")
   in
-  let run arch name domains engine check =
+  let run arch name domains check =
     let kernel, args, verify = build arch name in
     (match check with
     | None -> ()
@@ -378,7 +356,7 @@ let simulate_cmd =
         runs;
       if List.exists (fun (_, _, m) -> m <> []) runs then exit 1);
     let counters =
-      Gpu_sim.Interp.run ~arch ?domains ?engine kernel ~args ()
+      Gpu_sim.Interp.run ~arch ?domains kernel ~args ()
     in
     Format.printf "%a@." Gpu_sim.Counters.pp counters;
     if verify () then Format.printf "result: matches CPU reference@."
@@ -391,7 +369,7 @@ let simulate_cmd =
     (Cmd.info "simulate"
        ~doc:"Execute a kernel on the simulated GPU and verify the result.")
     Term.(
-      const run $ arch_arg $ kernel_arg $ domains_arg $ engine_arg $ check)
+      const run $ arch_arg $ kernel_arg $ domains_arg $ check)
 
 let write_file path contents =
   try
@@ -417,12 +395,12 @@ let profile_cmd =
             "Also record one trace event per executed instruction instance \
              (larger trace files).")
   in
-  let run arch name out_dir detail domains engine =
+  let run arch name out_dir detail domains =
     let kernel, args, verify = build arch name in
     let trace = Gpu_sim.Trace.create () in
     let profiler = Gpu_sim.Profiler.create ~trace ~detail () in
     let counters =
-      Gpu_sim.Interp.run ~arch ~profiler ?domains ?engine kernel ~args ()
+      Gpu_sim.Interp.run ~arch ~profiler ?domains kernel ~args ()
     in
     let machine = Gpu_sim.Machine.of_arch arch in
     let report =
@@ -455,8 +433,7 @@ let profile_cmd =
           bank conflicts, roofline placement) and write a JSON report plus \
           a Chrome-trace timeline. See docs/PROFILING.md.")
     Term.(
-      const run $ arch_arg $ kernel_arg $ out_dir $ detail $ domains_arg
-      $ engine_arg)
+      const run $ arch_arg $ kernel_arg $ out_dir $ detail $ domains_arg)
 
 (* [tune --profile N]: re-run one proxy-simulated search candidate with
    the profiler attached. Its proxy plan is a plan-cache hit after tier

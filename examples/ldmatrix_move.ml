@@ -35,7 +35,7 @@ let () =
   Format.printf "\n===== Graphene IR (Figure 1d) =====@.";
   print_endline (Graphene.Spec.kernel_to_string kernel);
   Format.printf "\n===== Generated CUDA C++ (Figure 1c) =====@.";
-  print_string (Codegen.Emit.cuda Graphene.Arch.SM86 kernel);
+  print_string (Codegen.Emit.cuda (Lower.Pipeline.lower Graphene.Arch.SM86 kernel));
 
   (* Execute and show the prescribed data-to-thread mapping (Figure 1b). *)
   let input = Array.init 256 float_of_int in

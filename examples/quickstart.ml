@@ -23,7 +23,7 @@ let () =
 
   (* 4. Generate CUDA C++ — code generation is printing the IR. *)
   print_endline "\n===== Generated CUDA C++ =====";
-  print_string (Codegen.Emit.cuda Graphene.Arch.SM86 kernel);
+  print_string (Codegen.Emit.cuda (Lower.Pipeline.lower Graphene.Arch.SM86 kernel));
 
   (* 5. Execute on the simulated GPU (a smaller instance: the interpreter
         runs every thread) and compare against the CPU reference. *)

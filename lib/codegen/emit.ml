@@ -1,23 +1,23 @@
 module E = Shape.Int_expr
 module L = Shape.Layout
 module Ts = Gpu_tensor.Tensor
-module Tt = Gpu_tensor.Thread_tensor
 module Dt = Gpu_tensor.Dtype
 module Ms = Gpu_tensor.Memspace
 module Spec = Graphene.Spec
 module Atomic = Graphene.Atomic
 module Op = Graphene.Op
-
-module V = Lower.Vectorize
+module P = Lower.Plan
 
 type ctx =
   { arch : Graphene.Arch.t
   ; buf : Buffer.t
   ; mutable indent : int
-  ; cta_size : int
-  ; mutable divergent : bool
-        (** inside a thread-dependent branch: widened emission is off,
-            mirroring the vectorize pass's masked-lane refusal *)
+  ; atomics : P.atomic array
+        (** the plan's atomics in program order: the [n]th leaf printed
+            is [atomics.(n)] *)
+  ; mutable next : int  (** the next leaf's index into [atomics] *)
+  ; mutable hoisted : (E.t * string) list
+        (** launch-index locals, in order of discovery *)
   }
 
 let line ctx fmt =
@@ -51,13 +51,6 @@ let total v = Ts.num_scalars_int v
    [blockIdx.x]/[threadIdx.x] are hoisted into [int] locals; a first
    (collecting) emission pass discovers them, the second prints them. *)
 
-type hoist_state =
-  { mutable defs : (E.t * string) list  (** reverse order of discovery *)
-  ; mutable enabled : bool
-  }
-
-let hoist_state = { defs = []; enabled = false }
-
 let launch_only e =
   match E.free_vars e with
   | [] -> false
@@ -66,47 +59,45 @@ let launch_only e =
       (fun v -> String.equal v "threadIdx.x" || String.equal v "blockIdx.x")
       vars
 
-let rec hoist_expr e =
-  if not hoist_state.enabled then e
-  else
-    match e with
-    | E.Var _ | E.Const _ -> e
-    | _ when launch_only e -> (
-      match List.find_opt (fun (d, _) -> E.equal d e) hoist_state.defs with
-      | Some (_, name) -> E.var name
-      | None ->
-        let name = Printf.sprintf "idx%d" (List.length hoist_state.defs) in
-        hoist_state.defs <- hoist_state.defs @ [ (e, name) ];
-        E.var name)
-    | E.Add (a, b) -> E.Add (hoist_expr a, hoist_expr b)
-    | E.Sub (a, b) -> E.Sub (hoist_expr a, hoist_expr b)
-    | E.Mul (a, b) -> E.Mul (hoist_expr a, hoist_expr b)
-    | E.Div (a, b) -> E.Div (hoist_expr a, hoist_expr b)
-    | E.Mod (a, b) -> E.Mod (hoist_expr a, hoist_expr b)
-    | E.Min (a, b) -> E.Min (hoist_expr a, hoist_expr b)
-    | E.Max (a, b) -> E.Max (hoist_expr a, hoist_expr b)
+let rec hoist_expr ctx e =
+  match e with
+  | E.Var _ | E.Const _ -> e
+  | _ when launch_only e -> (
+    match List.find_opt (fun (d, _) -> E.equal d e) ctx.hoisted with
+    | Some (_, name) -> E.var name
+    | None ->
+      let name = Printf.sprintf "idx%d" (List.length ctx.hoisted) in
+      ctx.hoisted <- ctx.hoisted @ [ (e, name) ];
+      E.var name)
+  | E.Add (a, b) -> E.Add (hoist_expr ctx a, hoist_expr ctx b)
+  | E.Sub (a, b) -> E.Sub (hoist_expr ctx a, hoist_expr ctx b)
+  | E.Mul (a, b) -> E.Mul (hoist_expr ctx a, hoist_expr ctx b)
+  | E.Div (a, b) -> E.Div (hoist_expr ctx a, hoist_expr ctx b)
+  | E.Mod (a, b) -> E.Mod (hoist_expr ctx a, hoist_expr ctx b)
+  | E.Min (a, b) -> E.Min (hoist_expr ctx a, hoist_expr ctx b)
+  | E.Max (a, b) -> E.Max (hoist_expr ctx a, hoist_expr ctx b)
 
-let ref_ v k =
-  let idx = E.to_string (hoist_expr (Index_gen.element_offset v k)) in
+let ref_ ctx v k =
+  let idx = E.to_string (hoist_expr ctx (Index_gen.element_offset v k)) in
   let idx = Shape.Swizzle.to_c_expr v.Ts.swizzle idx in
   Printf.sprintf "%s[%s]" v.Ts.buffer idx
 
-let ptr_ v k = "&" ^ ref_ v k
+let ptr_ ctx v k = "&" ^ ref_ ctx v k
 
 (* Read a scalar of the view as a float expression (converting from half). *)
-let as_float v k =
+let as_float ctx v k =
   match Ts.dtype v with
-  | Dt.FP16 -> Printf.sprintf "__half2float(%s)" (ref_ v k)
-  | Dt.BF16 -> Printf.sprintf "__bfloat162float(%s)" (ref_ v k)
-  | Dt.FP32 | Dt.FP64 | Dt.I8 | Dt.I32 | Dt.U32 | Dt.Bool -> ref_ v k
+  | Dt.FP16 -> Printf.sprintf "__half2float(%s)" (ref_ ctx v k)
+  | Dt.BF16 -> Printf.sprintf "__bfloat162float(%s)" (ref_ ctx v k)
+  | Dt.FP32 | Dt.FP64 | Dt.I8 | Dt.I32 | Dt.U32 | Dt.Bool -> ref_ ctx v k
 
 (* Assign a float expression to a scalar of the view. *)
-let assign_float v k expr =
+let assign_float ctx v k expr =
   match Ts.dtype v with
-  | Dt.FP16 -> Printf.sprintf "%s = __float2half(%s);" (ref_ v k) expr
-  | Dt.BF16 -> Printf.sprintf "%s = __float2bfloat16(%s);" (ref_ v k) expr
+  | Dt.FP16 -> Printf.sprintf "%s = __float2half(%s);" (ref_ ctx v k) expr
+  | Dt.BF16 -> Printf.sprintf "%s = __float2bfloat16(%s);" (ref_ ctx v k) expr
   | Dt.FP32 | Dt.FP64 | Dt.I8 | Dt.I32 | Dt.U32 | Dt.Bool ->
-    Printf.sprintf "%s = %s;" (ref_ v k) expr
+    Printf.sprintf "%s = %s;" (ref_ ctx v k) expr
 
 (* ----- atomic spec emission ----- *)
 
@@ -118,17 +109,12 @@ let emit_plain_move ctx (s : Spec.t) =
     match vec_copy_type bytes with
     | Some vt when n > 1 ->
       line ctx "*reinterpret_cast<%s*>(%s) = *reinterpret_cast<const %s*>(%s);"
-        vt (ptr_ dst 0) vt (ptr_ src 0)
+        vt (ptr_ ctx dst 0) vt (ptr_ ctx src 0)
     | _ ->
       for k = 0 to n - 1 do
-        line ctx "%s = %s;" (ref_ dst k) (ref_ src k)
+        line ctx "%s = %s;" (ref_ ctx dst k) (ref_ ctx src k)
       done)
   | _ -> failwith "move arity"
-
-(* Widened global <-> register moves as explicit PTX vector transactions
-   (the emission half of the vectorize pass, docs/LOWERING.md). Only
-   emitted when the pass's own legality analysis widened the atomic, so
-   the generated CUDA and the simulated plan agree on every verdict. *)
 
 (* (PTX scalar type, asm register constraint, C lvalue cast) per dtype;
    [None] falls back to the scalar loop. *)
@@ -138,9 +124,18 @@ let vec_reg_class dt =
   | Dt.FP32 | Dt.I32 | Dt.U32 -> Some ("b32", "r", "uint32_t")
   | Dt.FP64 | Dt.I8 | Dt.Bool -> None
 
-let emit_vec_global_move ctx (s : Spec.t) ~width =
+(* A move at the plan's vector width ([a_vec_width]): widened
+   register<->global moves print as explicit PTX vector transactions (the
+   emission half of the vectorize pass, docs/LOWERING.md), so the PTX a
+   kernel ships with and the plan the simulator executes cannot disagree
+   on a width. *)
+let emit_move ctx (s : Spec.t) ~width =
   match (s.Spec.ins, s.Spec.outs) with
-  | [ src ], [ dst ] -> (
+  | [ src ], [ dst ]
+    when width > 1
+         && (match (src.Ts.mem, dst.Ts.mem) with
+            | Ms.Global, Ms.Register | Ms.Register, Ms.Global -> true
+            | _ -> false) -> (
     let reg_side, glob_side, is_load =
       if Ms.equal src.Ts.mem Ms.Global then (dst, src, true)
       else (src, dst, false)
@@ -149,7 +144,7 @@ let emit_vec_global_move ctx (s : Spec.t) ~width =
     match vec_reg_class (Ts.dtype dst) with
     | Some (pty, cls, cast) when n mod width = 0 ->
       let reg k = Printf.sprintf "*reinterpret_cast<%s*>(%s)" cast
-          (ptr_ reg_side k)
+          (ptr_ ctx reg_side k)
       in
       let holes lo = String.concat ","
           (List.init width (fun i -> Printf.sprintf "%%%d" (lo + i)))
@@ -163,37 +158,18 @@ let emit_vec_global_move ctx (s : Spec.t) ~width =
             (String.concat ", "
                (List.init width (fun i ->
                     Printf.sprintf "\"=%s\"(%s)" cls (reg (k + i)))));
-          line ctx "    : \"l\"(%s));" (ptr_ glob_side k)
+          line ctx "    : \"l\"(%s));" (ptr_ ctx glob_side k)
         end
         else begin
           line ctx "asm volatile(\"st.global.v%d.%s [%%0], {%s};\\n\"" width
             pty (holes 1);
-          line ctx "    :: \"l\"(%s), %s);" (ptr_ glob_side k)
+          line ctx "    :: \"l\"(%s), %s);" (ptr_ ctx glob_side k)
             (String.concat ", "
                (List.init width (fun i ->
                     Printf.sprintf "\"%s\"(%s)" cls (reg (k + i)))))
         end
       done
     | _ -> emit_plain_move ctx s)
-  | _ -> failwith "move arity"
-
-(* The emission-side verdict: reuse the vectorize pass's leaf analysis so
-   the PTX a kernel ships with and the plan the simulator executes can
-   never disagree on a width. *)
-let emit_global_move ctx (s : Spec.t) instr =
-  let leaf =
-    V.of_leaf ~enabled:true ~divergent:ctx.divergent ~cta_size:ctx.cta_size s
-      instr
-  in
-  let reg_and_global =
-    match (s.Spec.ins, s.Spec.outs) with
-    | [ src ], [ dst ] ->
-      (Ms.equal src.Ts.mem Ms.Global && Ms.equal dst.Ts.mem Ms.Register)
-      || (Ms.equal src.Ts.mem Ms.Register && Ms.equal dst.Ts.mem Ms.Global)
-    | _ -> false
-  in
-  match leaf.V.l_verdict with
-  | V.Widened w when reg_and_global -> emit_vec_global_move ctx s ~width:w
   | _ -> emit_plain_move ctx s
 
 let emit_cp_async ctx (s : Spec.t) =
@@ -203,14 +179,14 @@ let emit_cp_async ctx (s : Spec.t) =
     line ctx
       "asm volatile(\"cp.async.cg.shared.global [%%0], [%%1], %d;\\n\" :: \
        \"r\"((unsigned)__cvta_generic_to_shared(%s)), \"l\"(%s));"
-      bytes (ptr_ dst 0) (ptr_ src 0)
+      bytes (ptr_ ctx dst 0) (ptr_ ctx src 0)
   | _ -> failwith "cp.async arity"
 
 let emit_cvt ctx (s : Spec.t) =
   match (s.Spec.ins, s.Spec.outs) with
   | [ src ], [ dst ] ->
     for k = 0 to total dst - 1 do
-      line ctx "%s" (assign_float dst k (as_float src k))
+      line ctx "%s" (assign_float ctx dst k (as_float ctx src k))
     done
   | _ -> failwith "cvt arity"
 
@@ -246,7 +222,7 @@ let emit_ldmatrix ctx ~trans x (s : Spec.t) =
     let regs =
       List.init x (fun k ->
           Printf.sprintf "\"=r\"(*reinterpret_cast<uint32_t*>(%s))"
-            (ptr_ dst (2 * k)))
+            (ptr_ ctx dst (2 * k)))
     in
     let reg_holes = List.init x (fun k -> Printf.sprintf "%%%d" k) in
     line ctx "asm volatile(\"ldmatrix.sync.aligned.m8n8.x%d%s.shared.b16 \
@@ -256,11 +232,11 @@ let emit_ldmatrix ctx ~trans x (s : Spec.t) =
       x;
     line ctx "    : %s" (String.concat ", " regs);
     line ctx "    : \"r\"((unsigned)__cvta_generic_to_shared(%s)));"
-      (ptr_ row_view 0)
+      (ptr_ ctx row_view 0)
   | _ -> failwith "ldmatrix arity"
 
-let u32_ref v k =
-  Printf.sprintf "*reinterpret_cast<uint32_t*>(%s)" (ptr_ v k)
+let u32_ref ctx v k =
+  Printf.sprintf "*reinterpret_cast<uint32_t*>(%s)" (ptr_ ctx v k)
 
 let emit_mma_m16n8k16 ctx (s : Spec.t) =
   match (s.Spec.ins, s.Spec.outs) with
@@ -268,12 +244,12 @@ let emit_mma_m16n8k16 ctx (s : Spec.t) =
     line ctx
       "asm volatile(\"mma.sync.aligned.m16n8k16.row.col.f32.f16.f16.f32 \
        {%%0,%%1,%%2,%%3}, {%%4,%%5,%%6,%%7}, {%%8,%%9}, {%%0,%%1,%%2,%%3};\\n\"";
-    line ctx "    : \"+f\"(%s), \"+f\"(%s), \"+f\"(%s), \"+f\"(%s)" (ref_ c 0)
-      (ref_ c 1) (ref_ c 2) (ref_ c 3);
+    line ctx "    : \"+f\"(%s), \"+f\"(%s), \"+f\"(%s), \"+f\"(%s)"
+      (ref_ ctx c 0) (ref_ ctx c 1) (ref_ ctx c 2) (ref_ ctx c 3);
     line ctx "    : \"r\"(%s), \"r\"(%s), \"r\"(%s), \"r\"(%s), \"r\"(%s), \
               \"r\"(%s));"
-      (u32_ref a 0) (u32_ref a 2) (u32_ref a 4) (u32_ref a 6) (u32_ref b 0)
-      (u32_ref b 2)
+      (u32_ref ctx a 0) (u32_ref ctx a 2) (u32_ref ctx a 4) (u32_ref ctx a 6)
+      (u32_ref ctx b 0) (u32_ref ctx b 2)
   | _ -> failwith "mma arity"
 
 let emit_mma_m8n8k4 ctx (s : Spec.t) =
@@ -285,9 +261,9 @@ let emit_mma_m8n8k4 ctx (s : Spec.t) =
        {%%0,%%1,%%2,%%3,%%4,%%5,%%6,%%7};\\n\"";
     line ctx "    : %s"
       (String.concat ", "
-         (List.init 8 (fun k -> Printf.sprintf "\"+f\"(%s)" (ref_ c k))));
-    line ctx "    : \"r\"(%s), \"r\"(%s), \"r\"(%s), \"r\"(%s));" (u32_ref a 0)
-      (u32_ref a 2) (u32_ref b 0) (u32_ref b 2)
+         (List.init 8 (fun k -> Printf.sprintf "\"+f\"(%s)" (ref_ ctx c k))));
+    line ctx "    : \"r\"(%s), \"r\"(%s), \"r\"(%s), \"r\"(%s));"
+      (u32_ref ctx a 0) (u32_ref ctx a 2) (u32_ref ctx b 0) (u32_ref ctx b 2)
   | _ -> failwith "mma arity"
 
 let emit_fma ctx (s : Spec.t) =
@@ -300,14 +276,14 @@ let emit_fma ctx (s : Spec.t) =
          __hfma2(*reinterpret_cast<const __half2*>(%s), \
          *reinterpret_cast<const __half2*>(%s), \
          *reinterpret_cast<__half2*>(%s)[0]);"
-        (ptr_ c 0) (ptr_ a 0) (ptr_ b 0) (ptr_ c 0)
+        (ptr_ ctx c 0) (ptr_ ctx a 0) (ptr_ ctx b 0) (ptr_ ctx c 0)
     else
       for k = 0 to n - 1 do
         if Dt.equal (Ts.dtype c) Dt.FP16 then
-          line ctx "%s = __hfma(%s, %s, %s);" (ref_ c k) (ref_ a k) (ref_ b k)
-            (ref_ c k)
+          line ctx "%s = __hfma(%s, %s, %s);" (ref_ ctx c k) (ref_ ctx a k)
+            (ref_ ctx b k) (ref_ ctx c k)
         else
-          line ctx "%s += %s * %s;" (ref_ c k) (ref_ a k) (ref_ b k)
+          line ctx "%s += %s * %s;" (ref_ ctx c k) (ref_ ctx a k) (ref_ ctx b k)
       done
   | _ -> failwith "fma arity"
 
@@ -315,7 +291,8 @@ let emit_unary ctx op (s : Spec.t) =
   match (s.Spec.ins, s.Spec.outs) with
   | [ src ], [ dst ] ->
     for k = 0 to total dst - 1 do
-      line ctx "%s" (assign_float dst k (Op.cuda_unary op (as_float src k)))
+      line ctx "%s"
+        (assign_float ctx dst k (Op.cuda_unary op (as_float ctx src k)))
     done
   | _ -> failwith "unary arity"
 
@@ -326,8 +303,10 @@ let emit_binary ctx op (s : Spec.t) =
     let idx v k = if total v = 1 then 0 else k in
     for k = 0 to total dst - 1 do
       line ctx "%s"
-        (assign_float dst k
-           (Op.cuda_binary op (as_float a (idx a k)) (as_float b (idx b k))))
+        (assign_float ctx dst k
+           (Op.cuda_binary op
+              (as_float ctx a (idx a k))
+              (as_float ctx b (idx b k))))
     done
   | _ -> failwith "binary arity"
 
@@ -339,8 +318,8 @@ let emit_reduction ctx op axes (s : Spec.t) =
       (* Accumulating full reduction: dst = op(dst, src_k). *)
       for k = 0 to ni - 1 do
         line ctx "%s"
-          (assign_float dst 0
-             (Op.cuda_binary op (as_float dst 0) (as_float src k)))
+          (assign_float ctx dst 0
+             (Op.cuda_binary op (as_float ctx dst 0) (as_float ctx src k)))
       done
     else
       let red = ni / no in
@@ -350,8 +329,8 @@ let emit_reduction ctx op axes (s : Spec.t) =
             match axes with [ 0 ] -> (o * red) + r | _ -> (r * no) + o
           in
           line ctx "%s"
-            (assign_float dst o
-               (Op.cuda_binary op (as_float dst o) (as_float src k)))
+            (assign_float ctx dst o
+               (Op.cuda_binary op (as_float ctx dst o) (as_float ctx src k)))
         done
       done
   | _ -> failwith "reduction arity"
@@ -367,10 +346,10 @@ let emit_shfl ctx kind (s : Spec.t) =
         Printf.sprintf "__shfl_down_sync(0xffffffffu, %s, %d)" v d
       | Spec.Idx e ->
         Printf.sprintf "__shfl_sync(0xffffffffu, %s, %s)" v
-          (E.to_string (hoist_expr e))
+          (E.to_string (hoist_expr ctx e))
     in
     for k = 0 to total dst - 1 do
-      line ctx "%s" (assign_float dst k (call (as_float src k)))
+      line ctx "%s" (assign_float ctx dst k (call (as_float ctx src k)))
     done
   | _ -> failwith "shfl arity"
 
@@ -378,35 +357,39 @@ let emit_init ctx v (s : Spec.t) =
   match s.Spec.outs with
   | [ dst ] ->
     for k = 0 to total dst - 1 do
-      line ctx "%s" (assign_float dst k (Printf.sprintf "%.9gf" v))
+      line ctx "%s" (assign_float ctx dst k (Printf.sprintf "%.9gf" v))
     done
   | _ -> failwith "init arity"
 
+(* Pair a leaf with the plan's next atomic. The compile pass emits
+   atomics in program order and the printer walks the same kernel, so a
+   mismatch means the plan has no atomic for this leaf: it matched no
+   atomic spec, or it sits in a loop with thread-dependent bounds. The
+   plan could not execute it either. *)
+let next_atomic ctx (s : Spec.t) =
+  let i = ctx.next in
+  if i < Array.length ctx.atomics && ctx.atomics.(i).P.a_spec == s then begin
+    ctx.next <- i + 1;
+    ctx.atomics.(i)
+  end
+  else failwith (Lower.Pipeline.unmatched_message ctx.arch s)
+
 let emit_atomic ctx (s : Spec.t) =
-  let instr = Atomic.find_exn ctx.arch s in
-  let name = instr.Atomic.name in
-  let ld_trans =
-    String.length name >= 17 && String.equal (String.sub name 11 6) ".trans"
-  in
-  if starts_with "cp.async" name then emit_cp_async ctx s
-  else if starts_with "ldmatrix.x4" name then
-    emit_ldmatrix ctx ~trans:ld_trans 4 s
-  else if starts_with "ldmatrix.x2" name then
-    emit_ldmatrix ctx ~trans:ld_trans 2 s
-  else if starts_with "ldmatrix.x1" name then
-    emit_ldmatrix ctx ~trans:ld_trans 1 s
-  else if starts_with "cvt" name then emit_cvt ctx s
-  else if starts_with "ld.global" name || starts_with "st.global" name then
-    emit_global_move ctx s instr
-  else if
-    starts_with "ld." name || starts_with "st." name
-    || String.equal "mov.rf" name
-  then emit_plain_move ctx s
-  else if starts_with "mma.m16n8k16" name then emit_mma_m16n8k16 ctx s
-  else if String.equal "mma.m8n8k4" name then emit_mma_m8n8k4 ctx s
-  else if starts_with "hfma" name || String.equal "fmaf" name then
+  let a = next_atomic ctx s in
+  let name = a.P.a_instr.Atomic.name in
+  match a.P.a_ldmatrix with
+  | Some (x, trans) -> emit_ldmatrix ctx ~trans x s
+  | None when a.P.a_is_async -> emit_cp_async ctx s
+  | None when starts_with "cvt" name -> emit_cvt ctx s
+  | None
+    when starts_with "ld." name || starts_with "st." name
+         || String.equal "mov.rf" name ->
+    emit_move ctx s ~width:a.P.a_vec_width
+  | None when starts_with "mma.m16n8k16" name -> emit_mma_m16n8k16 ctx s
+  | None when String.equal "mma.m8n8k4" name -> emit_mma_m8n8k4 ctx s
+  | None when starts_with "hfma" name || String.equal "fmaf" name ->
     emit_fma ctx s
-  else
+  | None -> (
     match s.Spec.kind with
     | Spec.Unary_pointwise op -> emit_unary ctx op s
     | Spec.Binary_pointwise op -> emit_binary ctx op s
@@ -414,7 +397,7 @@ let emit_atomic ctx (s : Spec.t) =
     | Spec.Shfl kind -> emit_shfl ctx kind s
     | Spec.Init v -> emit_init ctx v s
     | Spec.Move | Spec.Mat_mul | Spec.Generic _ ->
-      failwith ("Emit: unhandled atomic instruction " ^ name)
+      failwith ("Emit: unhandled atomic instruction " ^ name))
 
 (* ----- statements ----- *)
 
@@ -426,25 +409,17 @@ let rel_string = function
   | Spec.Gt -> ">"
   | Spec.Ge -> ">="
 
-let rec pred_tid_dep = function
-  | Spec.Cmp (_, a, b) ->
-    List.exists
-      (String.equal "threadIdx.x")
-      (E.free_vars a @ E.free_vars b)
-  | Spec.And (a, b) | Spec.Or (a, b) -> pred_tid_dep a || pred_tid_dep b
-  | Spec.Not p -> pred_tid_dep p
-
-let rec pred_string = function
+let rec pred_string ctx = function
   | Spec.Cmp (r, a, b) ->
     Printf.sprintf "%s %s %s"
-      (E.to_string (hoist_expr a))
+      (E.to_string (hoist_expr ctx a))
       (rel_string r)
-      (E.to_string (hoist_expr b))
+      (E.to_string (hoist_expr ctx b))
   | Spec.And (a, b) ->
-    Printf.sprintf "(%s && %s)" (pred_string a) (pred_string b)
+    Printf.sprintf "(%s && %s)" (pred_string ctx a) (pred_string ctx b)
   | Spec.Or (a, b) ->
-    Printf.sprintf "(%s || %s)" (pred_string a) (pred_string b)
-  | Spec.Not p -> Printf.sprintf "!(%s)" (pred_string p)
+    Printf.sprintf "(%s || %s)" (pred_string ctx a) (pred_string ctx b)
+  | Spec.Not p -> Printf.sprintf "!(%s)" (pred_string ctx p)
 
 let rec emit_stmt ctx stmt =
   match stmt with
@@ -467,9 +442,7 @@ let rec emit_stmt ctx stmt =
     ctx.indent <- ctx.indent - 1;
     line ctx "}"
   | Spec.If { cond; then_; else_ } ->
-    let saved = ctx.divergent in
-    if pred_tid_dep cond then ctx.divergent <- true;
-    line ctx "if (%s) {" (pred_string cond);
+    line ctx "if (%s) {" (pred_string ctx cond);
     ctx.indent <- ctx.indent + 1;
     List.iter (emit_stmt ctx) then_;
     ctx.indent <- ctx.indent - 1;
@@ -480,8 +453,7 @@ let rec emit_stmt ctx stmt =
       List.iter (emit_stmt ctx) else_;
       ctx.indent <- ctx.indent - 1;
       line ctx "}"
-    end;
-    ctx.divergent <- saved
+    end
   | Spec.Spec_stmt s -> (
     match s.Spec.decomp with
     | None -> emit_atomic ctx s
@@ -508,13 +480,15 @@ let uses_gelu body =
       acc || match s.Spec.kind with Spec.Unary_pointwise Op.Gelu -> true | _ -> false)
     false body
 
-let cuda arch (k : Spec.kernel) =
+let cuda (plan : P.t) =
+  let k = plan.P.kernel in
   let ctx =
-    { arch
+    { arch = plan.P.arch
     ; buf = Buffer.create 4096
     ; indent = 0
-    ; cta_size = Tt.size k.Spec.cta
-    ; divergent = false
+    ; atomics = plan.P.body.P.bc_atomics
+    ; next = 0
+    ; hoisted = []
     }
   in
   raw ctx
@@ -522,8 +496,8 @@ let cuda arch (k : Spec.kernel) =
        "// Generated by Graphene (OCaml reproduction) for %s\n\
         // kernel: %s | launch: <<<%d, %d>>>\n\
         #include <cuda_fp16.h>\n\n"
-       (Graphene.Arch.name arch) k.Spec.name
-       (Tt.size k.Spec.grid) (Tt.size k.Spec.cta));
+       (Graphene.Arch.name plan.P.arch) k.Spec.name plan.P.grid_size
+       plan.P.cta_size);
   if uses_gelu k.Spec.body then
     raw ctx
       "__device__ __forceinline__ float gelu(float x) {\n\
@@ -543,35 +517,21 @@ let cuda arch (k : Spec.kernel) =
        (String.concat ", " (List.map param_decl k.Spec.params @ scalar_decls)));
   ctx.indent <- 1;
   (* Pass 1 (discarded): discover the launch-index subexpressions. *)
-  hoist_state.defs <- [];
-  hoist_state.enabled <- true;
   let probe = { ctx with buf = Buffer.create 1024 } in
   List.iter (emit_stmt probe) k.Spec.body;
+  ctx.hoisted <- probe.hoisted;
   (* Emit the hoisted index definitions, then the real body. *)
   List.iter
     (fun (e, name) -> line ctx "int %s = %s;" name (E.to_string e))
-    hoist_state.defs;
+    ctx.hoisted;
   (* Hoist shared-memory allocations. *)
   List.iter
-    (fun (t : Ts.t) ->
-      if Ms.equal t.Ts.mem Ms.Shared then
-        line ctx "__shared__ %s %s[%d];" (ty (Ts.dtype t)) t.Ts.buffer
-          (Lower.Pipeline.shared_alloc_size t))
-    (Spec.allocs k.Spec.body);
+    (fun (al : P.alloc) ->
+      if Ms.equal al.P.al_mem Ms.Shared then
+        line ctx "__shared__ %s %s[%d];" (ty al.P.al_dtype) al.P.al_buffer
+          al.P.al_size)
+    plan.P.allocs;
   List.iter (emit_stmt ctx) k.Spec.body;
-  hoist_state.enabled <- false;
   ctx.indent <- 0;
   raw ctx "}\n";
-  Buffer.contents ctx.buf
-
-let stmts_to_string arch stmts =
-  let ctx =
-    { arch
-    ; buf = Buffer.create 1024
-    ; indent = 0
-    ; cta_size = 32
-    ; divergent = false
-    }
-  in
-  List.iter (emit_stmt ctx) stmts;
   Buffer.contents ctx.buf

@@ -1303,12 +1303,6 @@ let engine_name = function
   | Tree -> "tree"
   | Bytecode -> "bytecode"
 
-let engine_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "tree" -> Some Tree
-  | "bytecode" -> Some Bytecode
-  | _ -> None
-
 let default_plan_engine () = Bytecode
 
 let run_plan ?profiler ?domains ?engine (plan : P.t) ~args ?(scalars = []) () =

@@ -75,9 +75,6 @@ type engine =
 
 val engine_name : engine -> string
 
-(** Case-insensitive parse of ["tree" | "bytecode"]. *)
-val engine_of_string : string -> engine option
-
 (** The engine used when [?engine] is not given: [Bytecode]. *)
 val default_plan_engine : unit -> engine
 

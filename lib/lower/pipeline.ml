@@ -479,6 +479,7 @@ let compile_pass ~vec_enabled ~pipelining arch diagnostics =
           (fun (t : Ts.t) ->
             { Plan.al_buffer = t.Ts.buffer
             ; al_mem = t.Ts.mem
+            ; al_dtype = Ts.dtype t
             ; al_size =
                 (match t.Ts.mem with
                 | Ms.Shared -> shared_alloc_size t

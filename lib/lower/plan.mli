@@ -70,7 +70,12 @@ type atomic =
             conflict cycles per CTA-wide batch) *)
   }
 
-type alloc = { al_buffer : string; al_mem : Gpu_tensor.Memspace.t; al_size : int }
+type alloc =
+  { al_buffer : string
+  ; al_mem : Gpu_tensor.Memspace.t
+  ; al_dtype : Gpu_tensor.Dtype.t
+  ; al_size : int  (** elements; shared sizes are rounded to the swizzle window *)
+  }
 
 (** Opcodes of [bc_code]; {!Bytecode} re-exports them with the
     instruction layout. *)

@@ -5,22 +5,14 @@
      [Interp.engine]s ([Tree], [Bytecode]) at domains
      ∈ {1, 4, 7} must produce counters, profiler report JSON, Chrome
      traces, and output buffers bit-identical to the tree reference;
-   - the fixed-seed divergence corpus of test_divergence.ml, driven
-     through the bytecode engine's preallocated mask arena;
    - the bytecode encoding itself: pinned opcode numbers (the executor
      dispatches on integer literals), histogram consistency, one EXEC
      per atomic id, and the builder's exact word layout;
-   - engine selection: [engine_of_string] / [engine_name] round-trip;
    - cost-based chunking: [Domain_pool.cost_chunk_size] bounds and
      monotonicity, [cost_chunks] covering [0, total) ascending. *)
 
-module E = Shape.Int_expr
 module L = Shape.Layout
 module Ts = Gpu_tensor.Tensor
-module Tt = Gpu_tensor.Thread_tensor
-module Dt = Gpu_tensor.Dtype
-module Ms = Gpu_tensor.Memspace
-module B = Graphene.Builder
 module Arch = Graphene.Arch
 module Spec = Graphene.Spec
 module Interp = Gpu_sim.Interp
@@ -207,90 +199,6 @@ let test_eng_fused () =
     (Kernels.Gemm_layernorm.kernel Arch.SM86 ~m:64 ~k:32 ~width:64 ~bm:64
        ~wm:32 ~wn:32 ())
 
-(* ----- divergence corpus through the bytecode engine ----- *)
-
-let cta_size = 64
-let grid_blocks = 2
-
-(* Same generator shape as test_divergence.ml (fixed seed, tid-dependent
-   branches and loops, per-thread stores into the block's slice), driven
-   here through the bytecode engine's preallocated divergence-mask
-   arena at 1 and 4 domains, against the tree reference. *)
-let gen_kernel rng idx =
-  let grid = Tt.grid "g" [ grid_blocks ] in
-  let cta = Tt.linear "cta" cta_size Tt.Thread in
-  let tid = B.thread_idx in
-  let thr = Tt.select cta [ tid ] in
-  let a = Ts.create_rm "A" [ grid_blocks * cta_size ] Dt.FP32 Ms.Global in
-  let block_base = E.mul B.block_idx (E.const cta_size) in
-  let fresh =
-    let n = ref 0 in
-    fun prefix ->
-      incr n;
-      Printf.sprintf "%s%d" prefix !n
-  in
-  let value () = float_of_int (1 + Random.State.int rng 9) in
-  let leaf ?rot () =
-    let cell =
-      match rot with
-      | None -> E.add block_base tid
-      | Some kv ->
-        E.add block_base (E.rem (E.add tid kv) (E.const cta_size))
-    in
-    B.init ~threads:thr (value ()) ~dst:(Ts.select a [ cell ]) ()
-  in
-  let cond () =
-    match Random.State.int rng 4 with
-    | 0 -> B.( <. ) tid (E.const (1 + Random.State.int rng (cta_size - 1)))
-    | 1 ->
-      B.( ==. )
-        (E.rem tid (E.const (2 + Random.State.int rng 6)))
-        E.zero
-    | 2 -> B.( <=. ) (E.const (Random.State.int rng cta_size)) tid
-    | _ ->
-      B.( &&. )
-        (B.( <. ) tid (E.const (8 + Random.State.int rng 48)))
-        (B.( ==. ) (E.rem tid (E.const 2)) E.zero)
-  in
-  let rec block depth rot =
-    List.init
-      (1 + Random.State.int rng 2)
-      (fun _ -> stmt depth rot)
-  and stmt depth rot =
-    match (if depth >= 3 then 0 else Random.State.int rng 5) with
-    | 0 | 4 -> leaf ?rot ()
-    | 1 -> B.if_ (cond ()) (block (depth + 1) rot)
-    | 2 -> B.if_else (cond ()) (block (depth + 1) rot) (block (depth + 1) rot)
-    | _ ->
-      B.for_ (fresh "k")
-        (E.const (1 + Random.State.int rng 3))
-        (fun kv -> block (depth + 1) (Some kv))
-  in
-  B.kernel
-    (Printf.sprintf "bc_divergence_%d" idx)
-    ~grid ~cta ~params:[ a ]
-    (block 0 None @ [ leaf () ])
-
-let check_divergent_kernel name arch kernel =
-  let plan = Pipeline.lower arch kernel in
-  (* A generated kernel must actually exercise the mask arena. *)
-  check_bool (name ^ ": bytecode has divergent branches") true
-    (plan.Plan.body.Plan.bc_max_depth >= 0);
-  Oracle_check.check ~profile:true name ~reference:kernel plan
-    ~args:[ ("A", Array.make (grid_blocks * cta_size) 0.0) ]
-    [ (Interp.Bytecode, 1); (Interp.Bytecode, 4) ]
-
-let test_bc_divergence_corpus () =
-  let rng = Random.State.make [| 0x9e3779b9; 42 |] in
-  let saw_divergence = ref false in
-  for idx = 0 to 11 do
-    let kernel = gen_kernel rng idx in
-    let plan = Pipeline.lower Arch.SM86 kernel in
-    if plan.Plan.body.Plan.bc_max_depth > 0 then saw_divergence := true;
-    check_divergent_kernel kernel.Spec.name Arch.SM86 kernel
-  done;
-  check_bool "corpus contains divergent kernels" true !saw_divergence
-
 (* ----- the encoding itself ----- *)
 
 (* The executor dispatches on integer literals; renumbering the opcodes
@@ -410,26 +318,6 @@ let test_builder_layout () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
-(* ----- engine selection ----- *)
-
-let test_engine_names () =
-  List.iter
-    (fun e ->
-      check_bool
-        ("engine_of_string round-trips " ^ Interp.engine_name e)
-        true
-        (Interp.engine_of_string (Interp.engine_name e) = Some e);
-      check_bool "case-insensitive" true
-        (Interp.engine_of_string
-           (String.uppercase_ascii (Interp.engine_name e))
-        = Some e))
-    engines;
-  check_bool "garbage is None" true
-    (Interp.engine_of_string "jit" = None);
-  check_bool "the removed closure engine is None" true
-    (Interp.engine_of_string "closure" = None);
-  check_bool "empty is None" true (Interp.engine_of_string "" = None)
-
 (* ----- cost-based chunking ----- *)
 
 let test_cost_chunk_size () =
@@ -512,17 +400,11 @@ let () =
         ; Alcotest.test_case "allocation per cell" `Quick
             test_scalar_fma_allocation
         ] )
-    ; ( "divergence"
-      , [ Alcotest.test_case "fixed-seed corpus via bytecode" `Quick
-            test_bc_divergence_corpus
-        ] )
     ; ( "encoding"
       , [ Alcotest.test_case "opcode numbers pinned" `Quick test_opcode_numbers
         ; Alcotest.test_case "instruction counts" `Quick test_instruction_counts
         ; Alcotest.test_case "builder layout" `Quick test_builder_layout
         ] )
-    ; ( "engine"
-      , [ Alcotest.test_case "name round-trip" `Quick test_engine_names ] )
     ; ( "chunking"
       , [ Alcotest.test_case "cost_chunk_size" `Quick test_cost_chunk_size
         ; Alcotest.test_case "cost_chunks" `Quick test_cost_chunks

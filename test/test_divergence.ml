@@ -98,18 +98,22 @@ let par_domains = 4
 
 (* Tree at 1 domain is the baseline; the plan path must match it
    bit-for-bit at 1 and [par_domains] domains. *)
-let check_kernel name arch kernel =
-  Oracle_check.check ~profile:true name ~reference:kernel
-    (Pipeline.lower arch kernel)
+let check_kernel name plan kernel =
+  Oracle_check.check ~profile:true name ~reference:kernel plan
     ~args:[ ("A", Array.make (grid_blocks * cta_size) 0.0) ]
     [ (Interp.Bytecode, 1); (Interp.Bytecode, par_domains) ]
 
 let test_divergence_corpus () =
   let rng = Random.State.make [| 0x9e3779b9; 42 |] in
+  let saw_divergence = ref false in
   for idx = 0 to 11 do
     let kernel = gen_kernel rng idx in
-    check_kernel kernel.Spec.name Arch.SM86 kernel
-  done
+    let plan = Pipeline.lower Arch.SM86 kernel in
+    if plan.Plan.body.Plan.bc_max_depth > 0 then saw_divergence := true;
+    check_kernel kernel.Spec.name plan kernel
+  done;
+  (* The corpus must actually exercise the executor's mask arena. *)
+  check_bool "corpus contains divergent kernels" true !saw_divergence
 
 (* ----- collective plan invariant ----- *)
 
